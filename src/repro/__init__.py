@@ -37,18 +37,16 @@ Quickstart (async — thousands of concurrent sessions per process)::
             print((await session.get("hello.txt")).data)
 
 See DESIGN.md's "public API & async core" section for the protocol,
-semaphore model and loop-ownership rules.
+admission model and loop-ownership rules.
 """
 
 from repro.core.async_client import AsyncCyrusClient
 from repro.core.async_engine import AsyncTransferEngine
-from repro.core.async_retry import AsyncShareRetryLoop
 from repro.core.client import CyrusClient, FileEntry
 from repro.core.cloud import CSPStatus, CyrusCloud
 from repro.core.config import CyrusConfig
 from repro.core.downloader import DownloadReport
-from repro.core.parallel import ParallelEngine
-from repro.core.retry import ShareRetryLoop
+from repro.core.retry import AsyncShareRetryLoop, ShareRetryLoop
 from repro.core.sync import SyncReport
 from repro.core.transfer import (
     DirectEngine,
@@ -121,7 +119,6 @@ __all__ = [
     # engines & retry
     "DirectEngine",
     "SimulatedEngine",
-    "ParallelEngine",
     "AsyncTransferEngine",
     "TransferOp",
     "OpResult",

@@ -95,7 +95,6 @@ def build_client(store: Path) -> CyrusClient:
         max_inflight_per_csp=settings.get("max_inflight_per_csp"),
         max_inflight_total=settings.get("max_inflight_total"),
         encode_workers=settings.get("encode_workers", 0),
-        transfer_backend=settings.get("transfer_backend", "thread"),
     )
     from repro.recovery import IntentJournal
     from repro.redundancy import DebtLedger
@@ -152,7 +151,6 @@ def cmd_init(args) -> int:
         "chunk_avg": args.chunk_avg,
         "chunk_max": args.chunk_max,
         "parallelism": args.parallelism,
-        "transfer_backend": args.transfer_backend,
         "encode_workers": args.encode_workers,
         "max_inflight_per_csp": args.max_inflight_per_csp,
         "max_inflight_total": None,
@@ -737,10 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-max", type=int, default=2 * 1024 * 1024)
     p.add_argument("--parallelism", type=int, default=1,
                    help="concurrent transfer ops (1 = serial)")
-    p.add_argument("--transfer-backend", choices=("thread", "async"),
-                   default="thread",
-                   help="parallel transfer core: 'thread' pool or "
-                        "'async' event loop (default: thread)")
     p.add_argument("--encode-workers", type=int, default=0,
                    help="erasure-encode worker processes (0 = inline)")
     p.add_argument("--max-inflight-per-csp", type=int, default=None,

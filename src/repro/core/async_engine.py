@@ -1,38 +1,62 @@
-"""The asyncio event-driven transfer core.
+"""The concurrent transfer engine: the paper's event-driven client core.
 
 :class:`AsyncTransferEngine` executes :class:`repro.core.transfer.TransferOp`
-batches on an asyncio event loop: each op is one coroutine gated by two
-:class:`asyncio.Semaphore` admission caps — at most
-``max_inflight_per_csp`` concurrent operations per provider and at most
-``max_inflight_total`` (default ``parallelism``) in flight overall —
-mirroring the bounds of :class:`repro.core.parallel.ScatterGatherPool`
-at a fraction of the per-session cost: a thousand concurrent client
-sessions share one loop instead of a thousand thread pools.
+batches on an asyncio event loop (paper §5.3: GET/PUT/GET_META/PUT_META
+events feeding share, chunk and file completion).  Ops wait in one
+FIFO and start while two admission caps allow — at most
+``max_inflight_per_csp`` concurrent operations per provider (ops for a
+saturated CSP are skipped over, so one slow provider cannot block the
+others) and at most ``max_inflight_total`` (default ``parallelism``) in
+flight overall.  The loop starts ops; a dispatch thread that finishes a
+sync-provider op frees its slot and claims the next startable sync op
+in the same step, so back-to-back ops never wait for a loop round trip
+(the FIFO, occupancy and quotas sit behind one admission lock for
+that).  A thousand concurrent client sessions share one loop.
 
-Providers are spoken to through :class:`repro.csp.aio.AsyncCloudProvider`;
-existing synchronous CSPs are wrapped in
-:class:`repro.csp.aio.SyncProviderAdapter` automatically, offloading each
-blocking call to a bounded engine-owned executor.  Native async
-providers are awaited directly on the loop.
+Batches support group quotas (queued ops of a satisfied group are
+cancelled without dispatch — straggler cancellation) and *streaming
+follow-ups*: an ``on_result`` hook sees every completion as it happens
+and may enqueue replacement ops into the running batch, which is how
+the retry loop fails a share over to a standby CSP without waiting for
+the rest of the batch.
+
+Native async providers (:class:`repro.csp.aio.AsyncCloudProvider`) are
+awaited on the loop.  A synchronous CSP's whole op (breaker check, lazy
+encode, blocking call, health and metrics) runs as one call on a
+bounded engine-owned dispatch executor, so blocking I/O never stalls
+the loop;
+:meth:`AsyncTransferEngine.async_provider` still hands out a
+:class:`repro.csp.aio.SyncProviderAdapter` for callers that want the
+async face of a sync provider.
 
 The engine presents *both* faces of the stable API:
 
 * ``await execute_async(ops, ...)`` — the native coroutine, for async
   pipelines and :class:`repro.core.async_client.AsyncCyrusClient`;
-* ``execute(ops, ...)`` — the synchronous bridge the existing
-  uploader/downloader/retry stack calls, which submits the coroutine to
-  the engine's loop (an externally bound running loop, or a lazily
-  started background loop the engine owns) and blocks the calling
-  pipeline thread for the result.
+* ``execute(ops, ...)`` — the synchronous bridge the uploader/
+  downloader/retry stack calls, which submits the coroutine to the
+  engine's loop (an externally bound running loop, or a lazily started
+  background loop the engine owns) and blocks the calling pipeline
+  thread for the result.
 
 Correctness anchor: at ``parallelism=1`` with synchronous providers the
 engine never touches the loop at all — ``execute`` takes the inherited
 serial :class:`repro.core.transfer.DirectEngine` path, bit-for-bit
-identical to the serial reference engine.  The semantics of the async
-path (group-quota straggler cancellation, streaming ``on_result``
-follow-ups, breaker fail-fast, health recording, pool occupancy gauges)
-replicate the thread pool's exactly; the hypothesis outcome-identity
-suite pins cloud state equality across backends and parallelism levels.
+identical to the serial reference engine.  Both paths share one per-op
+error contract: a provider's :class:`repro.errors.CSPError` becomes a
+failed :class:`OpResult`; any other exception (an unregistered CSP, a
+failing lazy encode) propagates out of ``execute``/``execute_async`` —
+on the loop path once the batch's in-flight tasks have settled.
+
+Occupancy is exported through the engine's observability registry:
+``cyrus_pool_inflight{csp}`` / ``cyrus_pool_inflight_total`` gauges
+(live), ``cyrus_pool_inflight_peak{csp}`` (high-water marks),
+``cyrus_pool_queue_depth`` and the ``cyrus_pool_dispatch_total`` /
+``cyrus_pool_cancelled_total`` counters — surfaced by ``cyrus stats``.
+The ``on_result`` hook runs on the loop thread, one completion at a
+time; result emission (metrics, tracer, receiver) also runs on dispatch
+threads, so everything it touches carries its own lock (see DESIGN.md's
+concurrency model).
 """
 
 from __future__ import annotations
@@ -40,26 +64,29 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
-from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.obs import Observability
 
-from repro.core.parallel import (
-    POOL_CANCELLED,
-    POOL_DISPATCH,
-    POOL_INFLIGHT,
-    POOL_INFLIGHT_PEAK,
-    POOL_INFLIGHT_TOTAL,
-    POOL_QUEUE_DEPTH,
-    ResultHook,
-)
 from repro.core.transfer import DirectEngine, OpKind, OpResult, TransferOp
 from repro.csp.aio import AsyncCloudProvider, SyncProviderAdapter
 from repro.csp.base import CloudProvider
 from repro.csp.resilient import HealthRegistry
 from repro.errors import CSPError, TransferError, is_retryable
 from repro.util.clock import Clock, WallClock, sleep_on
+
+# Metric names (referenced by cyrus stats and the engine tests).
+POOL_INFLIGHT = "cyrus_pool_inflight"              # gauge {csp}
+POOL_INFLIGHT_TOTAL = "cyrus_pool_inflight_total"  # gauge
+POOL_INFLIGHT_PEAK = "cyrus_pool_inflight_peak"    # gauge {csp, "*"=total}
+POOL_QUEUE_DEPTH = "cyrus_pool_queue_depth"        # gauge
+POOL_DISPATCH = "cyrus_pool_dispatch_total"        # counter {csp}
+POOL_CANCELLED = "cyrus_pool_cancelled_total"      # counter
+
+#: on_result may return follow-up ops to enqueue into the running batch.
+ResultHook = Callable[[OpResult], "Sequence[TransferOp] | None"]
 
 #: Upper bound on the dispatch executor; sync-adapted providers cannot
 #: usefully exceed this many truly concurrent blocking calls anyway.
@@ -69,24 +96,28 @@ _MAX_DISPATCH_THREADS = 32
 class _AsyncBatch:
     """State of one in-progress batch (confined to the event loop)."""
 
-    __slots__ = ("results", "unresolved", "quota", "on_result", "done",
-                 "queued")
+    __slots__ = ("loop", "results", "tasks", "unresolved", "quota",
+                 "on_result", "done", "error")
 
     def __init__(
         self,
+        loop: asyncio.AbstractEventLoop,
         group_quota: Mapping[Hashable, int] | None,
         on_result: ResultHook | None,
     ):
+        self.loop = loop
         self.results: list[OpResult | None] = []
+        self.tasks: list[asyncio.Task] = []  # the loop holds tasks weakly
         self.unresolved = 0
         self.quota: dict[Hashable, int] = dict(group_quota or {})
         self.on_result = on_result
         self.done = asyncio.Event()
-        self.queued = 0  # ops admitted but not yet holding a dispatch slot
+        #: first non-provider exception; execute_async re-raises it
+        self.error: BaseException | None = None
 
 
 class AsyncTransferEngine(DirectEngine):
-    """Event-driven engine: semaphore-capped coroutines per batch.
+    """Event-driven engine: capped, streaming batches on one event loop.
 
     ``parallelism=1`` with synchronous providers short-circuits to the
     inherited serial ``DirectEngine.execute`` — identical behaviour, no
@@ -120,6 +151,9 @@ class AsyncTransferEngine(DirectEngine):
     ):
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        for bound in (max_inflight_per_csp, max_inflight_total):
+            if bound is not None and bound < 1:
+                raise ValueError("in-flight bounds must be >= 1")
         sync_map: dict[str, CloudProvider] = {}
         native: dict[str, AsyncCloudProvider] = {}
         for csp_id, prov in dict(providers).items():
@@ -142,12 +176,12 @@ class AsyncTransferEngine(DirectEngine):
         self._executor = executor
         self._owns_executor = executor is None
         self._closed = False
-        # asyncio primitives bind to a loop on first use; recreated if
-        # the engine is ever re-bound (single-loop engines never are)
-        self._sem_loop: asyncio.AbstractEventLoop | None = None
-        self._sem_total: asyncio.Semaphore | None = None
-        self._sem_csp: dict[str, asyncio.Semaphore] = {}
-        # loop-confined occupancy (exported via the pool gauge names)
+        # admission state shared by every batch, guarded by _admission
+        # (dispatch threads claim work too): ops not yet started (FIFO),
+        # occupancy (exported via the pool gauges), each batch's quota
+        # and error
+        self._admission = threading.Lock()
+        self._waiting: deque[tuple[_AsyncBatch, int, TransferOp]] = deque()
         self._inflight: dict[str, int] = {}
         self._inflight_total = 0
         self._lifecycle = threading.Lock()
@@ -159,13 +193,6 @@ class AsyncTransferEngine(DirectEngine):
         """True when batches genuinely run concurrently — the gate for
         lazy share encoding and streaming failover in the pipelines."""
         return self.parallelism > 1
-
-    @property
-    def native_async(self) -> bool:
-        """Marker for callers that can hand the engine whole coroutines
-        (e.g. :class:`repro.core.retry.ShareRetryLoop` delegating to
-        :class:`repro.core.async_retry.AsyncShareRetryLoop`)."""
-        return True
 
     # -- providers ---------------------------------------------------------
 
@@ -253,8 +280,8 @@ class AsyncTransferEngine(DirectEngine):
             return self._executor
 
     def close(self) -> None:
-        """Release owned resources (idempotent; a closed engine stays
-        usable on the serial sync path, like a closed ParallelEngine)."""
+        """Release owned resources (idempotent; a closed engine drops to
+        parallelism 1 and stays usable on the serial sync path)."""
         with self._lifecycle:
             if self._closed:
                 return
@@ -277,9 +304,6 @@ class AsyncTransferEngine(DirectEngine):
             loop.close()
         # a closed engine can still run serial sync batches
         self._closed = False
-        self._sem_loop = None
-        self._sem_total = None
-        self._sem_csp.clear()
 
     def run_coro(self, coro):
         """Run a coroutine on the engine's loop from a non-loop thread."""
@@ -309,28 +333,9 @@ class AsyncTransferEngine(DirectEngine):
         else:
             sleep_on(self.clock, seconds)
 
-    # -- semaphores --------------------------------------------------------
+    # -- gauges (set under _admission, so they never go stale) -------------
 
-    def _caps_for(self, loop: asyncio.AbstractEventLoop) -> None:
-        if self._sem_loop is not loop:
-            self._sem_loop = loop
-            self._sem_total = asyncio.Semaphore(
-                self.max_inflight_total or self.parallelism
-            )
-            self._sem_csp = {}
-
-    def _csp_sem(self, csp_id: str) -> asyncio.Semaphore | None:
-        if self.max_inflight_per_csp is None:
-            return None
-        sem = self._sem_csp.get(csp_id)
-        if sem is None:
-            sem = asyncio.Semaphore(self.max_inflight_per_csp)
-            self._sem_csp[csp_id] = sem
-        return sem
-
-    # -- gauges (loop-confined state, thread-safe registry) ----------------
-
-    def _gauge_inflight(self, csp_id: str) -> None:
+    def _gauge_inflight(self, csp_id: str, rising: bool) -> None:
         obs = self.obs
         if obs is None:
             return
@@ -338,13 +343,14 @@ class AsyncTransferEngine(DirectEngine):
         metrics = obs.metrics
         metrics.set_gauge(POOL_INFLIGHT, per_csp, csp=csp_id)
         metrics.set_gauge(POOL_INFLIGHT_TOTAL, self._inflight_total)
-        peak = metrics.gauge(POOL_INFLIGHT_PEAK)
-        peak.set_max(per_csp, csp=csp_id)
-        peak.set_max(self._inflight_total, csp="*")
+        if rising:  # high-water marks can only move on a dispatch
+            peak = metrics.gauge(POOL_INFLIGHT_PEAK)
+            peak.set_max(per_csp, csp=csp_id)
+            peak.set_max(self._inflight_total, csp="*")
 
-    def _gauge_queue(self, batch: _AsyncBatch) -> None:
+    def _gauge_queue(self) -> None:
         if self.obs is not None:
-            self.obs.metrics.set_gauge(POOL_QUEUE_DEPTH, batch.queued)
+            self.obs.metrics.set_gauge(POOL_QUEUE_DEPTH, len(self._waiting))
 
     # -- execution ---------------------------------------------------------
 
@@ -361,7 +367,8 @@ class AsyncTransferEngine(DirectEngine):
         if not needs_loop:
             results = super().execute(ops, group_quota)
             if on_result is not None:
-                # serial streaming emulation, identical to ParallelEngine
+                # serial streaming emulation: feed completions through
+                # the hook and run follow-ups until it stops producing
                 extras = [
                     extra for result in results
                     for extra in (on_result(result) or ())
@@ -388,47 +395,173 @@ class AsyncTransferEngine(DirectEngine):
         """Execute one batch natively on the running loop.
 
         Results come back in submission order (initial ops first, then
-        ``on_result`` follow-ups in enqueue order), like the pool.
+        ``on_result`` follow-ups in enqueue order).  A provider's
+        ``CSPError`` is a failed result; any other exception raised by an
+        op or by ``on_result`` stops further dispatch and is re-raised
+        here once the in-flight tasks have settled.
         """
-        loop = asyncio.get_running_loop()
-        self._caps_for(loop)
-        batch = _AsyncBatch(group_quota, on_result)
-        tasks = [self._submit(batch, op) for op in ops]
-        if not tasks:
+        if not ops:
             return []
+        batch = _AsyncBatch(asyncio.get_running_loop(), group_quota,
+                            on_result)
+        self._enqueue(batch, ops)
+        self._pump()
         await batch.done.wait()
-        results = list(batch.results)
-        if any(r is None for r in results):  # pragma: no cover - invariant
-            raise TransferError("async engine lost an op result")
-        return results  # type: ignore[return-value]
+        if batch.error is not None:
+            raise batch.error
+        return batch.results  # type: ignore[return-value]
 
-    def _submit(self, batch: _AsyncBatch, op: TransferOp) -> asyncio.Task:
-        idx = len(batch.results)
-        batch.results.append(None)
-        batch.unresolved += 1
-        batch.queued += 1
-        self._gauge_queue(batch)
-        return asyncio.get_running_loop().create_task(
-            self._run_one(batch, idx, op)
-        )
+    # -- admission and completion -----------------------------------------
 
-    async def _run_one(self, batch: _AsyncBatch, idx: int,
-                       op: TransferOp) -> None:
-        try:
-            result = await self._perform(batch, op)
-        except Exception as exc:  # engine invariant: a task never vanishes
-            now = self.clock.now()
-            result = OpResult(
-                op=op, ok=False, start=now, end=now, error=str(exc),
-                error_type=type(exc).__name__, retryable=is_retryable(exc),
-            )
-        batch.results[idx] = result
-        if result.ok and op.group is not None and op.group in batch.quota:
+    def _enqueue(self, batch: _AsyncBatch, ops: Sequence[TransferOp]) -> None:
+        with self._admission:
+            for op in ops:
+                self._waiting.append((batch, len(batch.results), op))
+                batch.results.append(None)
+            batch.unresolved += len(ops)
+            self._gauge_queue()
+
+    def _claim(self, loop_side: bool):
+        """Pop the next waiting op the caps admit (under ``_admission``).
+
+        Returns ``(entry, start)`` — ``start`` False means the entry is
+        settled without dispatch (its group is satisfied: straggler
+        cancellation; or its batch already failed) — or None.  An op
+        whose provider is at its per-CSP cap is rotated past, so one
+        slow provider never blocks the others.  A dispatch thread
+        (``loop_side`` False) only takes sync-provider ops to start;
+        anything else at the head waits for the loop.
+        """
+        waiting = self._waiting
+        total_cap = self.max_inflight_total or self.parallelism
+        per_csp = self.max_inflight_per_csp
+        skipped = 0
+        while waiting and skipped < len(waiting) \
+                and self._inflight_total < total_cap:
+            batch, idx, op = waiting[0]
+            start = (batch.error is None
+                     and not self._quota_satisfied(batch, op))
+            if start and per_csp is not None \
+                    and self._inflight.get(op.csp_id, 0) >= per_csp:
+                waiting.rotate(-1)
+                skipped += 1
+                continue
+            if not loop_side and not (start and op.csp_id not in self._native):
+                return None
+            waiting.popleft()
+            if start:
+                self._inflight[op.csp_id] = self._inflight.get(op.csp_id, 0) + 1
+                self._inflight_total += 1
+                self._gauge_inflight(op.csp_id, rising=True)
+                if self.obs is not None:
+                    self.obs.metrics.inc(POOL_DISPATCH, csp=op.csp_id)
+            self._gauge_queue()
+            return (batch, idx, op), start
+        return None
+
+    def _release(self, batch: _AsyncBatch, op: TransferOp,
+                 outcome: OpResult | BaseException) -> None:
+        """Free a finished op's slot (under ``_admission``); a success
+        spends its group's quota before anything else is claimed."""
+        self._inflight[op.csp_id] -= 1
+        self._inflight_total -= 1
+        self._gauge_inflight(op.csp_id, rising=False)
+        if isinstance(outcome, OpResult) and outcome.ok \
+                and op.group is not None and op.group in batch.quota:
             batch.quota[op.group] -= 1
-        self._emit(result)
-        followups = batch.on_result(result) if batch.on_result else None
-        for extra in followups or ():
-            self._submit(batch, extra)
+
+    def _pump(self) -> None:
+        """Start (or settle) waiting ops while the caps admit them (loop)."""
+        while True:
+            with self._admission:
+                claimed = self._claim(loop_side=True)
+            if claimed is None:
+                return
+            (batch, idx, op), start = claimed
+            try:
+                if not start:
+                    if batch.error is not None:
+                        self._settle(batch)
+                    else:
+                        self._finish(batch, idx, self._cancelled(op))
+                elif op.csp_id in self._native:
+                    task = batch.loop.create_task(
+                        self._dispatch_native(self._native[op.csp_id], op))
+                    batch.tasks.append(task)
+                    task.add_done_callback(
+                        lambda t, b=batch, i=idx, o=op:
+                        self._native_done(b, i, o, t))
+                else:
+                    self._ensure_executor().submit(
+                        self._run_sync, batch, idx, op)
+            except BaseException as exc:  # re-raised by execute_async
+                if start:
+                    with self._admission:
+                        self._release(batch, op, exc)
+                self._fail(batch, exc)
+
+    def _run_sync(self, batch: _AsyncBatch, idx: int, op: TransferOp) -> None:
+        """Dispatch-thread body: run sync ops back to back.
+
+        Each finished op frees its slot and claims the next startable
+        sync op in one step, so consecutive ops on a dispatch thread
+        never wait for a loop round trip; results go to the loop, where
+        the hook runs.
+        """
+        while True:
+            try:
+                outcome = self._dispatch_sync(op)
+            except BaseException as exc:  # surfaced by execute_async
+                outcome = exc
+            with self._admission:
+                self._release(batch, op, outcome)
+                claimed = self._claim(loop_side=False)
+            batch.loop.call_soon_threadsafe(self._done, batch, idx, outcome)
+            if claimed is None:
+                return
+            (batch, idx, op), _start = claimed
+
+    def _native_done(self, batch: _AsyncBatch, idx: int, op: TransferOp,
+                     task: asyncio.Task) -> None:
+        try:
+            outcome = task.result()
+        except BaseException as exc:  # surfaced by execute_async
+            outcome = exc
+        with self._admission:
+            self._release(batch, op, outcome)
+        self._done(batch, idx, outcome)
+
+    def _done(self, batch: _AsyncBatch, idx: int,
+              outcome: OpResult | BaseException) -> None:
+        """A dispatched op finished (loop thread)."""
+        if isinstance(outcome, BaseException):
+            self._fail(batch, outcome)
+        else:
+            self._finish(batch, idx, outcome)
+        self._pump()
+
+    def _finish(self, batch: _AsyncBatch, idx: int, result: OpResult) -> None:
+        """Record one result; the hook's follow-ups join the batch."""
+        if batch.error is None:
+            batch.results[idx] = result
+            try:
+                followups = (batch.on_result(result)
+                             if batch.on_result is not None else None)
+            except BaseException as exc:  # re-raised by execute_async
+                self._fail(batch, exc)
+                return
+            if followups:
+                self._enqueue(batch, followups)
+        self._settle(batch)
+
+    def _fail(self, batch: _AsyncBatch, exc: BaseException) -> None:
+        with self._admission:
+            if batch.error is None:
+                batch.error = exc
+        self._settle(batch)
+
+    @staticmethod
+    def _settle(batch: _AsyncBatch) -> None:
         batch.unresolved -= 1
         if batch.unresolved == 0:
             batch.done.set()
@@ -442,79 +575,60 @@ class AsyncTransferEngine(DirectEngine):
         if self.obs is not None:
             self.obs.metrics.inc(POOL_CANCELLED, csp=op.csp_id)
         now = self.clock.now()
-        return OpResult(op=op, ok=False, start=now, end=now,
-                        cancelled=True, error="group quota satisfied")
+        return self._emit(OpResult(op=op, ok=False, start=now, end=now,
+                                   cancelled=True,
+                                   error="group quota satisfied"))
 
-    async def _perform(self, batch: _AsyncBatch, op: TransferOp) -> OpResult:
-        if self._quota_satisfied(batch, op):
-            batch.queued -= 1
-            self._gauge_queue(batch)
-            return self._cancelled(op)
-        # per-CSP admission first, so ops queued behind a saturated
-        # provider never hold global slots (the pool's claim-scan
-        # equivalent); the global cap is acquired last, consistently
-        csp_sem = self._csp_sem(op.csp_id)
-        if csp_sem is not None:
-            await csp_sem.acquire()
-        try:
-            await self._sem_total.acquire()
-            try:
-                batch.queued -= 1
-                self._gauge_queue(batch)
-                # the group may have been satisfied while we waited —
-                # the straggler-cancellation point
-                if self._quota_satisfied(batch, op):
-                    return self._cancelled(op)
-                self._inflight[op.csp_id] = (
-                    self._inflight.get(op.csp_id, 0) + 1
-                )
-                self._inflight_total += 1
-                self._gauge_inflight(op.csp_id)
-                if self.obs is not None:
-                    self.obs.metrics.inc(POOL_DISPATCH, csp=op.csp_id)
-                try:
-                    return await self._dispatch_async(op)
-                finally:
-                    self._inflight[op.csp_id] -= 1
-                    self._inflight_total -= 1
-                    self._gauge_inflight(op.csp_id)
-            finally:
-                self._sem_total.release()
-        finally:
-            if csp_sem is not None:
-                csp_sem.release()
+    async def _dispatch_native(self, prov: AsyncCloudProvider,
+                               op: TransferOp) -> OpResult:
+        """One op end-to-end on the loop, awaiting a native provider.
 
-    async def _dispatch_async(self, op: TransferOp) -> OpResult:
-        """One op end-to-end on the loop (provider I/O awaited/offloaded).
-
-        Mirrors :meth:`repro.core.parallel.ParallelEngine._dispatch_one`.
+        This and :meth:`_dispatch_sync` mirror the per-op body of
+        :meth:`DirectEngine.execute`, minus group-quota handling, which
+        the batch owns here.
         """
         start = self.clock.now()
         blocked = self._breaker_blocks(op, start)
         if blocked is not None:
-            return blocked
+            return self._emit(blocked)
         try:
-            data = await self._apply_async(op)
-            end = self.clock.now()
-            self._record_health(op.csp_id, None)
-            return OpResult(op=op, ok=True, start=start, end=end, data=data)
+            data = await self._apply_native(prov, op)
         except CSPError as exc:
-            end = self.clock.now()
-            self._record_health(op.csp_id, exc)
-            return OpResult(op=op, ok=False, start=start, end=end,
-                            error=str(exc), error_type=type(exc).__name__,
-                            retryable=is_retryable(exc))
+            return self._outcome(op, start, exc=exc)
+        return self._outcome(op, start, data=data)
 
-    async def _apply_async(self, op: TransferOp) -> bytes | None:
-        """Perform the data operation through the async provider face."""
-        prov = self.async_provider(op.csp_id)
+    def _dispatch_sync(self, op: TransferOp) -> OpResult:
+        start = self.clock.now()
+        blocked = self._breaker_blocks(op, start)
+        if blocked is not None:
+            return self._emit(blocked)
+        try:
+            data = self._apply(op)
+        except CSPError as exc:
+            return self._outcome(op, start, exc=exc)
+        return self._outcome(op, start, data=data)
+
+    def _outcome(self, op: TransferOp, start: float, data: bytes | None = None,
+                 exc: CSPError | None = None) -> OpResult:
+        end = self.clock.now()
+        self._record_health(op.csp_id, exc)
+        if exc is None:
+            return self._emit(OpResult(op=op, ok=True, start=start, end=end,
+                                       data=data))
+        return self._emit(OpResult(op=op, ok=False, start=start, end=end,
+                                   error=str(exc),
+                                   error_type=type(exc).__name__,
+                                   retryable=is_retryable(exc)))
+
+    async def _apply_native(self, prov: AsyncCloudProvider,
+                            op: TransferOp) -> bytes | None:
+        """Perform the data operation through a native async provider."""
         if op.kind in (OpKind.PUT, OpKind.PUT_META):
             data = op.data
             if data is None and op.data_fn is not None:
                 # lazy encodes are CPU work: run them on the dispatch
                 # executor, never the loop
-                loop = asyncio.get_running_loop()
-                data = await loop.run_in_executor(
+                data = await asyncio.get_running_loop().run_in_executor(
                     self._ensure_executor(), op.resolve_data
                 )
             if data is None:

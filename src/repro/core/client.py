@@ -33,11 +33,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.chunking import ContentDefinedChunker
+from repro.core.async_engine import AsyncTransferEngine
 from repro.core.cloud import CyrusCloud
 from repro.core.config import CyrusConfig
 from repro.core.downloader import Downloader, DownloadReport
 from repro.core.migration import migrate_metadata
-from repro.core.parallel import ParallelEngine
 from repro.core.sync import SyncReport, SyncService
 from repro.core.transfer import TransferEngine
 from repro.core.uploader import Uploader, UploadReport
@@ -199,15 +199,9 @@ class CyrusClient:
         cloud = CyrusCloud(providers, clusters=clusters)
         owns_engine = engine is None
         if engine is None:
-            # parallelism=1 (the default) keeps both backends on the
+            # parallelism=1 (the default) keeps the engine on the
             # inherited serial DirectEngine path — identical behaviour
-            if config.transfer_backend == "async":
-                from repro.core.async_engine import AsyncTransferEngine
-
-                engine_cls = AsyncTransferEngine
-            else:
-                engine_cls = ParallelEngine
-            engine = engine_cls(
+            engine = AsyncTransferEngine(
                 {p.csp_id: p for p in providers},
                 parallelism=config.parallelism,
                 max_inflight_per_csp=config.max_inflight_per_csp,

@@ -34,9 +34,10 @@ class CyrusConfig:
             the defaults here are scaled to the simulated workloads).
         respect_clusters: Place at most one share of a chunk per
             platform cluster (Section 4.1).
-        parallelism: Worker threads for scatter/gather transfer; 1 (the
-            default) keeps the serial engine path, bit-for-bit identical
-            to historical behaviour.
+        parallelism: Concurrent share transfers per batch, run as
+            coroutines on the asyncio transfer engine; 1 (the default)
+            keeps the serial engine path, bit-for-bit identical to
+            historical behaviour.
         max_inflight_per_csp: Concurrent in-flight operations allowed
             per provider when parallel; None means no per-CSP bound.
         max_inflight_total: Concurrent in-flight operations allowed
@@ -45,12 +46,6 @@ class CyrusConfig:
             default) encodes inline on the calling thread.  Threads
             cannot speed up the CPU-bound GF(2^8) math, so CPU-parallel
             encode is a separate dial from transfer ``parallelism``.
-        transfer_backend: ``"thread"`` (the default) runs parallel
-            batches on the scatter/gather worker pool; ``"async"`` runs
-            them as coroutines on one asyncio loop (the event-driven
-            core — the scalable choice for many clients per process).
-            Both honour the same parallelism/in-flight caps, and at
-            ``parallelism=1`` both take the identical serial path.
     """
 
     key: str
@@ -69,7 +64,6 @@ class CyrusConfig:
     max_inflight_per_csp: int | None = None
     max_inflight_total: int | None = None
     encode_workers: int = 0
-    transfer_backend: str = "thread"
 
     def __post_init__(self) -> None:
         if not self.key:
@@ -103,11 +97,6 @@ class CyrusConfig:
         if self.encode_workers < 0:
             raise ConfigurationError(
                 f"encode_workers must be >= 0, got {self.encode_workers}"
-            )
-        if self.transfer_backend not in ("thread", "async"):
-            raise ConfigurationError(
-                f"transfer_backend must be 'thread' or 'async', "
-                f"got {self.transfer_backend!r}"
             )
 
     def plan_n(self, available_csps: int) -> int:

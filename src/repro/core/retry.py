@@ -6,14 +6,27 @@ backoff, no transient/permanent distinction, no record of what was
 tried.  :class:`ShareRetryLoop` centralises the round structure both
 pipelines share:
 
-* execute the current round as one parallel batch;
-* classify each failure — transient errors retry the *same* provider
-  until the policy's per-provider budget runs out, permanent errors
-  (and exhausted providers) fail over to a caller-chosen alternate;
+* execute the current round as one batch;
+* classify each result (:meth:`_Campaign.classify`, the only copy) —
+  transient errors retry the *same* provider until the policy's
+  per-provider budget runs out, permanent errors (and exhausted
+  providers) fail over to a caller-chosen alternate;
 * back off between rounds per the :class:`RetryPolicy` (advancing a
   SimClock exactly, sleeping a wall clock for real);
 * record every try as an :class:`repro.errors.Attempt` so exhaustion
   errors can carry the full per-CSP history.
+
+Two drivers feed that classification.  On a serial engine each round
+is one ``execute`` call and both retries and failovers wait for the
+next round's backoff.  On a concurrent engine
+(:class:`repro.core.async_engine.AsyncTransferEngine` with
+``parallelism > 1``) the whole campaign runs on the engine's event
+loop: the batch's ``on_result`` hook classifies each completion as it
+lands and fails a share over *inside the running batch*, so a permanent
+error never waits for the round's stragglers; only same-provider
+retries defer to the next round.  The hook — and through it the
+caller's callbacks — runs on the loop thread, one completion at a time,
+so callbacks never race each other.
 
 The callers keep what is genuinely theirs: how to build an op, what a
 success means, and where alternate shares may live.
@@ -22,7 +35,6 @@ success means, and where alternate shares may live.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from typing import Callable, Hashable, Sequence
 
 from repro.core.transfer import OpResult, TransferEngine, TransferOp
@@ -35,6 +47,74 @@ Item = tuple[Hashable, str]
 
 #: Safety valve; the loop's budgets terminate it far earlier.
 _MAX_ROUNDS = 1000
+
+
+class _Campaign:
+    """One ``run``'s bookkeeping and its per-result classification."""
+
+    def __init__(self, retry: ShareRetryLoop, items: Sequence[Item],
+                 build_op, on_success, on_giveup, pick_alternate, verify):
+        self.retry = retry
+        self.items = list(items)
+        self.build_op = build_op
+        self.on_success = on_success
+        self.on_giveup = on_giveup
+        self.pick_alternate = pick_alternate
+        self.verify = verify
+        self.results: list[OpResult] = []
+        self.attempts: dict[Hashable, list[Attempt]] = {
+            key: [] for key, _ in self.items
+        }
+        self.tried: dict[Hashable, set[str]] = {
+            key: {csp} for key, csp in self.items
+        }
+        self.tries: dict[Item, int] = {}
+
+    def classify(
+        self, key: Hashable, csp: str, result: OpResult, round_no: int
+    ) -> tuple[OpResult, str | None, bool]:
+        """Settle one result: ``(result as classified, next csp or None,
+        is_failover)``.
+
+        A payload that fails ``verify`` becomes a *permanent* failure of
+        that provider for this item (``ShareIntegrityError``,
+        retryable=False): the provider answered, so re-asking it wins
+        nothing.  A transient failure retries the same provider while
+        its budget lasts and it is live; anything else gives up on the
+        provider and fails over to ``pick_alternate``'s choice.
+        """
+        if result.ok and self.verify is not None \
+                and not self.verify(key, csp, result):
+            result = dataclasses.replace(
+                result, ok=False, data=None,
+                error=f"share from {csp} failed verification",
+                error_type="ShareIntegrityError", retryable=False,
+            )
+        self.attempts.setdefault(key, []).append(Attempt(
+            csp_id=csp, round_no=round_no, ok=result.ok,
+            error=result.error, error_type=result.error_type,
+        ))
+        if result.ok:
+            self.on_success(key, csp, result)
+            return result, None, False
+        retry = self.retry
+        obs = getattr(retry.engine, "obs", None)
+        tries = self.tries[(key, csp)] = self.tries.get((key, csp), 0) + 1
+        if (result.retryable and not result.cancelled
+                and tries < retry.policy.max_attempts
+                and retry.alternate_is_live(csp)):
+            if obs is not None:
+                obs.metrics.inc("cyrus_share_retries_total", csp=csp)
+            return result, csp, False
+        self.on_giveup(key, csp, result)
+        alternate = self.pick_alternate(key, csp, self.tried[key])
+        if alternate is None:
+            return result, None, False
+        if obs is not None:
+            obs.metrics.inc("cyrus_share_failovers_total",
+                            from_csp=csp, to_csp=alternate)
+        self.tried[key].add(alternate)
+        return result, alternate, True
 
 
 class ShareRetryLoop:
@@ -62,25 +142,6 @@ class ShareRetryLoop:
     def alternate_is_live(self, csp_id: str) -> bool:
         """Health gate for alternate choice (True without a registry)."""
         return self.health is None or self.health.is_live(csp_id)
-
-    @staticmethod
-    def _check(verify, key, csp: str, result: OpResult) -> OpResult:
-        """Apply the caller's verify hook to a transport-level success.
-
-        A payload that fails verification becomes a *permanent* failure
-        of that provider for this item (``ShareIntegrityError``,
-        retryable=False): the provider answered, so re-asking it wins
-        nothing — the loop fails over to an alternate instead.  Identical
-        on the serial and parallel paths, preserving the parallelism=1
-        bit-for-bit equivalence.
-        """
-        if not result.ok or verify is None or verify(key, csp, result):
-            return result
-        return dataclasses.replace(
-            result, ok=False, data=None,
-            error=f"share from {csp} failed verification",
-            error_type="ShareIntegrityError", retryable=False,
-        )
 
     def run(
         self,
@@ -111,17 +172,11 @@ class ShareRetryLoop:
         Returns:
             ``(all op results, per-key attempt history)``.
         """
+        campaign = _Campaign(self, items, build_op, on_success, on_giveup,
+                             pick_alternate, verify)
         if getattr(self.engine, "parallel_enabled", False):
-            if getattr(self.engine, "native_async", False):
-                return self._run_async(items, build_op, on_success,
-                                       on_giveup, pick_alternate, verify)
-            return self._run_parallel(items, build_op, on_success,
-                                      on_giveup, pick_alternate, verify)
-        all_results: list[OpResult] = []
-        attempts: dict[Hashable, list[Attempt]] = {key: [] for key, _ in items}
-        tried: dict[Hashable, set[str]] = {key: {csp} for key, csp in items}
-        per_csp_tries: dict[Item, int] = {}
-        pending: list[Item] = list(items)
+            return self.engine.run_coro(self._stream(campaign))
+        pending = list(items)
         for round_no in range(_MAX_ROUNDS):
             if not pending:
                 break
@@ -129,167 +184,84 @@ class ShareRetryLoop:
                 # all pending items are retries/failovers: back off once
                 # per round (batched, like the dispatch itself)
                 self.engine.sleep(self.policy.delay(round_no))
-            ops = [build_op(key, csp) for key, csp in pending]
-            results = [
-                self._check(verify, key, csp, result)
-                for (key, csp), result in zip(
-                    pending, self.engine.execute(ops)
-                )
-            ]
-            all_results.extend(results)
+            results = self.engine.execute(
+                [build_op(key, csp) for key, csp in pending]
+            )
             next_pending: list[Item] = []
             for (key, csp), result in zip(pending, results):
-                attempts.setdefault(key, []).append(Attempt(
-                    csp_id=csp, round_no=round_no, ok=result.ok,
-                    error=result.error, error_type=result.error_type,
-                ))
-                if result.ok:
-                    on_success(key, csp, result)
-                    continue
-                per_csp_tries[(key, csp)] = per_csp_tries.get((key, csp), 0) + 1
-                retryable = bool(result.retryable) and not result.cancelled
-                if (retryable
-                        and per_csp_tries[(key, csp)] < self.policy.max_attempts
-                        and self.alternate_is_live(csp)):
-                    obs = getattr(self.engine, "obs", None)
-                    if obs is not None:
-                        obs.metrics.inc("cyrus_share_retries_total", csp=csp)
-                    next_pending.append((key, csp))
-                    continue
-                on_giveup(key, csp, result)
-                alternate = pick_alternate(key, csp, tried[key])
-                if alternate is not None:
-                    obs = getattr(self.engine, "obs", None)
-                    if obs is not None:
-                        obs.metrics.inc("cyrus_share_failovers_total",
-                                        from_csp=csp, to_csp=alternate)
-                    tried[key].add(alternate)
-                    next_pending.append((key, alternate))
+                result, nxt, _failover = campaign.classify(
+                    key, csp, result, round_no
+                )
+                campaign.results.append(result)
+                if nxt is not None:
+                    next_pending.append((key, nxt))
             pending = next_pending
-        return all_results, attempts
+        return campaign.results, campaign.attempts
 
-    def _run_async(
-        self,
-        items: Sequence[Item],
-        build_op: Callable[[Hashable, str], TransferOp],
-        on_success: Callable[[Hashable, str, OpResult], None],
-        on_giveup: Callable[[Hashable, str, OpResult], None],
-        pick_alternate: Callable[[Hashable, str, set[str]], str | None],
-        verify: Callable[[Hashable, str, OpResult], bool] | None = None,
+    async def _stream(
+        self, campaign: _Campaign
     ) -> tuple[list[OpResult], dict[Hashable, list[Attempt]]]:
-        """Delegate the whole campaign to the engine's event loop.
-
-        For natively async engines the coroutine mirror
-        (:class:`repro.core.async_retry.AsyncShareRetryLoop`) runs every
-        round — batches, backoff, streaming failover — loop-resident,
-        instead of hopping a thread per batch through the sync bridge.
-        The calling pipeline thread blocks on the campaign's result, so
-        the pipelines' contract is unchanged.
-        """
-        from repro.core.async_retry import AsyncShareRetryLoop
-
-        aloop = AsyncShareRetryLoop(self.engine, policy=self.policy,
-                                    health=self.health)
-        return self.engine.run_coro(
-            aloop.run(items, build_op, on_success, on_giveup,
-                      pick_alternate, verify)
-        )
-
-    def _run_parallel(
-        self,
-        items: Sequence[Item],
-        build_op: Callable[[Hashable, str], TransferOp],
-        on_success: Callable[[Hashable, str, OpResult], None],
-        on_giveup: Callable[[Hashable, str, OpResult], None],
-        pick_alternate: Callable[[Hashable, str, set[str]], str | None],
-        verify: Callable[[Hashable, str, OpResult], bool] | None = None,
-    ) -> tuple[list[OpResult], dict[Hashable, list[Attempt]]]:
-        """The streaming variant for parallel engines.
-
-        Same classification as the serial loop, but failures are handled
-        the moment they complete: the engine's ``on_result`` hook fails a
-        share over to its alternate *inside the running batch*, so a
-        permanent error on one CSP re-dispatches immediately instead of
-        waiting for every straggler in the round.  Only same-provider
-        transient retries defer to the next round — that preserves the
-        policy's inter-round backoff semantics exactly.
-
-        The hook runs on pool worker threads; one loop-level lock makes
-        the caller's ``on_success``/``on_giveup``/``pick_alternate``
-        callbacks mutually exclusive, so pipeline state (journal appends,
-        gathered shares) never needs its own cross-share coordination.
-        """
-        all_results: list[OpResult] = []
-        attempts: dict[Hashable, list[Attempt]] = {key: [] for key, _ in items}
-        tried: dict[Hashable, set[str]] = {key: {csp} for key, csp in items}
-        per_csp_tries: dict[Item, int] = {}
-        pending: list[Item] = list(items)
-        lock = threading.Lock()
+        """The streaming driver: every round is one loop-resident batch
+        whose ``on_result`` hook fails shares over in-batch."""
+        pending = list(campaign.items)
         for round_no in range(_MAX_ROUNDS):
             if not pending:
                 break
             if round_no > 0:
-                self.engine.sleep(self.policy.delay(round_no))
-            deferred: list[Item] = []
-            assign: dict[int, Item] = {}
-            # id(op) -> verify-reclassified result, so all_results shows
-            # the same failure the callbacks saw (as on the serial path)
-            checked: dict[int, OpResult] = {}
-            ops: list[TransferOp] = []
-            for key, csp in pending:
-                op = build_op(key, csp)
-                assign[id(op)] = (key, csp)
-                ops.append(op)
+                # all pending items are same-provider transient retries:
+                # back off once per round, without blocking the loop
+                await self.engine.async_sleep(self.policy.delay(round_no))
+            pending = await self._stream_round(campaign, pending, round_no)
+        return campaign.results, campaign.attempts
 
-            def hook(result: OpResult, _assign=assign, _deferred=deferred,
-                     _checked=checked,
-                     _round=round_no) -> list[TransferOp] | None:
-                with lock:
-                    item = _assign.pop(id(result.op), None)
-                    if item is None:  # pragma: no cover - foreign op
-                        return None
-                    key, csp = item
-                    verified = self._check(verify, key, csp, result)
-                    if verified is not result:
-                        _checked[id(result.op)] = verified
-                    result = verified
-                    attempts.setdefault(key, []).append(Attempt(
-                        csp_id=csp, round_no=_round, ok=result.ok,
-                        error=result.error, error_type=result.error_type,
-                    ))
-                    if result.ok:
-                        on_success(key, csp, result)
-                        return None
-                    per_csp_tries[(key, csp)] = (
-                        per_csp_tries.get((key, csp), 0) + 1
-                    )
-                    retryable = bool(result.retryable) and not result.cancelled
-                    if (retryable
-                            and per_csp_tries[(key, csp)]
-                            < self.policy.max_attempts
-                            and self.alternate_is_live(csp)):
-                        obs = getattr(self.engine, "obs", None)
-                        if obs is not None:
-                            obs.metrics.inc("cyrus_share_retries_total",
-                                            csp=csp)
-                        _deferred.append((key, csp))
-                        return None
-                    on_giveup(key, csp, result)
-                    alternate = pick_alternate(key, csp, tried[key])
-                    if alternate is None:
-                        return None
-                    obs = getattr(self.engine, "obs", None)
-                    if obs is not None:
-                        obs.metrics.inc("cyrus_share_failovers_total",
-                                        from_csp=csp, to_csp=alternate)
-                    tried[key].add(alternate)
-                    new_op = build_op(key, alternate)
-                    _assign[id(new_op)] = (key, alternate)
-                    return [new_op]
+    async def _stream_round(self, campaign: _Campaign,
+                            pending: list[Item], round_no: int) -> list[Item]:
+        deferred: list[Item] = []
+        assign: dict[int, Item] = {}
+        # id(op) -> verify-reclassified result, so the results list shows
+        # the same failure the callbacks saw
+        checked: dict[int, OpResult] = {}
 
-            results = self.engine.execute(ops, on_result=hook)
-            all_results.extend(
-                checked.get(id(r.op), r) for r in results
+        def launch(key: Hashable, csp: str) -> TransferOp:
+            op = campaign.build_op(key, csp)
+            assign[id(op)] = (key, csp)
+            return op
+
+        def hook(result: OpResult) -> list[TransferOp] | None:
+            key, csp = assign.pop(id(result.op))
+            verified, nxt, failover = campaign.classify(
+                key, csp, result, round_no
             )
-            pending = deferred
-        return all_results, attempts
+            if verified is not result:
+                checked[id(result.op)] = verified
+            if nxt is None:
+                return None
+            if not failover:
+                deferred.append((key, nxt))
+                return None
+            return [launch(key, nxt)]
+
+        ops = [launch(key, csp) for key, csp in pending]
+        results = await self.engine.execute_async(ops, on_result=hook)
+        campaign.results.extend(checked.get(id(r.op), r) for r in results)
+        return deferred
+
+
+class AsyncShareRetryLoop(ShareRetryLoop):
+    """Coroutine face of the loop for code already running on the
+    engine's event loop (``await loop.run(...)``); same contract as
+    :meth:`ShareRetryLoop.run`, always on the streaming driver."""
+
+    async def run(  # type: ignore[override]
+        self,
+        items: Sequence[Item],
+        build_op: Callable[[Hashable, str], TransferOp],
+        on_success: Callable[[Hashable, str, OpResult], None],
+        on_giveup: Callable[[Hashable, str, OpResult], None],
+        pick_alternate: Callable[[Hashable, str, set[str]], str | None],
+        verify: Callable[[Hashable, str, OpResult], bool] | None = None,
+    ) -> tuple[list[OpResult], dict[Hashable, list[Attempt]]]:
+        return await self._stream(_Campaign(
+            self, items, build_op, on_success, on_giveup, pick_alternate,
+            verify,
+        ))

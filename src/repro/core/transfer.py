@@ -60,7 +60,7 @@ class TransferOp:
     A PUT may carry ``data_fn`` instead of ``data``: a thunk producing
     the payload, invoked on the executing worker at dispatch time.  This
     is how the parallel uploader pipelines encoding with transfer —
-    erasure-coding chunk *k+1* runs on one pool worker while chunk *k*'s
+    erasure-coding chunk *k+1* runs on one dispatch thread while chunk *k*'s
     shares are already on the wire.  Lazy ops should still set ``size``
     so planners can cost them without forcing the encode.
     """
@@ -150,8 +150,8 @@ class TransferReceiver:
         self._file_chunks: dict[str, set[str]] = {}
         self._file_complete: dict[str, bool] = {}
         self.events: list[OpResult] = []
-        # pool workers emit results concurrently; the counters and the
-        # event log are read-modify-write, so serialise them
+        # dispatch threads emit results concurrently; the counters and
+        # the event log are read-modify-write, so serialise them
         self._lock = threading.Lock()
 
     def expect_chunk(self, chunk_id: str, shares_needed: int,

@@ -91,7 +91,7 @@ class _ChunkPlan:
     _share_cache: dict[int, bytes] = field(default_factory=dict)
     # an in-flight EncodePool future; collected on first share_data call
     prefetch: object | None = None
-    # pool workers may pull different shares of one chunk concurrently;
+    # dispatch threads may pull different shares of one chunk concurrently;
     # the lock makes the one-time encode exactly-once
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -356,7 +356,7 @@ class Uploader:
                 )
 
         # On a parallel engine the encode is deferred into the op itself:
-        # the pool worker that dispatches chunk k+1's first share runs
+        # the dispatch thread that sends chunk k+1's first share runs
         # the erasure code while chunk k's shares are still uploading
         # (the chunk -> encode -> scatter pipeline of the tentpole).
         lazy = bool(getattr(self.engine, "parallel_enabled", False))

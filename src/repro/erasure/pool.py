@@ -1,8 +1,9 @@
 """Multiprocessing encode pool.
 
-Erasure encoding is pure CPU, so the thread pool that overlaps
-*transfers* (ScatterGatherPool) cannot speed it up — the GIL serialises
-the table lookups.  This pool moves the GF(2^8) matrix multiply into
+Erasure encoding is pure CPU, so the concurrent transfer engine that
+overlaps *transfers* (:class:`repro.core.async_engine.AsyncTransferEngine`,
+whose lazy encodes run on its dispatch threads) cannot speed it up — the
+GIL serialises the table lookups.  This pool moves the GF(2^8) matrix multiply into
 worker *processes*: the uploader submits every planned chunk right
 after placement, the workers encode while earlier chunks' shares are
 still in flight, and ``_ChunkPlan.share_data`` collects the finished

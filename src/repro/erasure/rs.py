@@ -36,13 +36,11 @@ try:  # pragma: no cover - exercised implicitly by backend selection
     import numpy as np
 
     from repro.gf import vector as gfvec
-    from repro.gf.matrix import gf_mat_inv
 
     _HAVE_NUMPY = True
 except ImportError:  # pragma: no cover - container always ships numpy
     np = None
     gfvec = None
-    gf_mat_inv = None
     _HAVE_NUMPY = False
 
 BACKENDS = ("vector", "scalar")
@@ -198,10 +196,12 @@ class RSCodec:
     def _decode_vector(
         self, chosen: Sequence[Share], chunk_size: int, stripe_len: int
     ) -> bytes:
-        sub = self._matrix_np[[s.index for s in chosen], :]
+        # the t x t inverse is tiny: the pure-Python elimination beats a
+        # numpy one on per-call overhead; the bulk product stays vector
+        sub = [self._matrix[s.index] for s in chosen]
         try:
-            inv = gf_mat_inv(sub)
-        except np.linalg.LinAlgError as exc:
+            inv = np.asarray(gfscalar.mat_inv(sub), dtype=np.uint8)
+        except ValueError as exc:
             raise CodingError("singular share submatrix") from exc
         coded = np.stack(
             [np.frombuffer(s.data, dtype=np.uint8) for s in chosen], axis=0

@@ -1,43 +1,16 @@
 """Galois field GF(2^8) arithmetic.
 
 This package implements the finite-field math underlying CYRUS's
-non-systematic Reed--Solomon secret sharing (paper Section 5.1, Figure 5).
-It provides scalar operations, vectorised numpy kernels, and matrix
-algebra (multiplication, inversion, Vandermonde construction) over
-GF(2^8) with the standard AES polynomial 0x11B.
+non-systematic Reed--Solomon secret sharing (paper Section 5.1, Figure 5)
+over GF(2^8) with the standard AES polynomial 0x11B:
+
+* :mod:`repro.gf.tables` — the numpy log/exp and 256x256 multiplication
+  tables;
+* :mod:`repro.gf.vector` — the batched numpy kernels the codec encodes
+  and decodes with;
+* :mod:`repro.gf.scalar` — pure-Python field operations, Vandermonde
+  construction and Gauss--Jordan inversion: the numpy-free fallback and
+  the oracle the vector kernels are checked against.
 """
 
-from repro.gf.field import (
-    GF_ORDER,
-    GF_POLY,
-    gf_add,
-    gf_div,
-    gf_inv,
-    gf_mul,
-    gf_pow,
-)
-from repro.gf.matrix import (
-    gf_mat_inv,
-    gf_mat_mul,
-    gf_mat_rank,
-    gf_mat_vec,
-    vandermonde,
-)
-from repro.gf.tables import EXP_TABLE, LOG_TABLE
-
-__all__ = [
-    "GF_ORDER",
-    "GF_POLY",
-    "EXP_TABLE",
-    "LOG_TABLE",
-    "gf_add",
-    "gf_mul",
-    "gf_div",
-    "gf_inv",
-    "gf_pow",
-    "gf_mat_mul",
-    "gf_mat_vec",
-    "gf_mat_inv",
-    "gf_mat_rank",
-    "vandermonde",
-]
+__all__ = ["tables", "scalar", "vector"]

@@ -108,8 +108,9 @@ def matmul_rows(
 def vandermonde_rows(points: Sequence[int], width: int) -> list[list[int]]:
     """Vandermonde matrix rows V[i][j] = points[i] ** j.
 
-    Same validity rules as :func:`repro.gf.matrix.vandermonde`:
-    distinct non-zero evaluation points.
+    The points must be distinct and non-zero: distinctness makes every
+    ``width``-subset of rows invertible (the MDS property erasure
+    decoding relies on).
     """
     pts = list(points)
     if len(set(pts)) != len(pts):

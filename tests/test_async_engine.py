@@ -1,10 +1,10 @@
 """Deterministic unit tests for the asyncio transfer core.
 
-Mirrors the scatter/gather pool suite's philosophy: concurrency claims
+Mirrors test_parallel_engine.py's philosophy: concurrency claims
 are proven with counters and cooperative yields on the event loop, not
 timing luck.  The native fake provider yields control inside each
 operation so overlapping admissions genuinely interleave, making the
-semaphore high-water marks exact.
+in-flight high-water marks exact.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.core.async_engine import AsyncTransferEngine
-from repro.core.retry import ShareRetryLoop
+from repro.core.retry import AsyncShareRetryLoop, ShareRetryLoop
 from repro.core.transfer import OpKind, TransferOp
 from repro.csp.aio import AsyncCloudProvider, SyncProviderAdapter
 from repro.csp.base import ObjectInfo
@@ -112,7 +112,7 @@ def test_serial_streaming_emulation_runs_followups():
 
 
 # ---------------------------------------------------------------------------
-# semaphore admission caps
+# admission caps
 
 
 def test_per_csp_and_total_caps_bound_native_concurrency():
@@ -246,11 +246,67 @@ def test_close_is_idempotent_and_leaves_a_serial_usable_engine():
     if loop_thread is not None:
         loop_thread.join(timeout=10)
         assert not loop_thread.is_alive()
-    # closed engine still serves serial sync batches (like ParallelEngine)
+    # a closed engine still serves serial sync batches
     results = engine.execute(
         [TransferOp(kind=OpKind.GET, csp_id="m", name="obj-0", size=16)]
     )
     assert results[0].ok
+
+
+# ---------------------------------------------------------------------------
+# one per-op error contract at every parallelism: a provider's CSPError
+# is a failed result, anything else raises out of execute
+
+
+def _broken_encode() -> bytes:
+    raise ValueError("encode bug")
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_non_provider_errors_raise_at_every_parallelism(parallelism):
+    engine = AsyncTransferEngine({"m": InMemoryCSP("m")},
+                                 parallelism=parallelism)
+    try:
+        ghost = TransferOp(kind=OpKind.PUT, csp_id="ghost", name="x",
+                           data=b"x")
+        with pytest.raises(TransferError, match="no provider"):
+            engine.execute(_put_ops("m", 2) + [ghost])
+        lazy = TransferOp(kind=OpKind.PUT, csp_id="m", name="lazy", size=1,
+                          data_fn=_broken_encode)
+        with pytest.raises(ValueError, match="encode bug"):
+            engine.execute([lazy])
+        # a provider error stays a result, and the engine stays usable
+        results = engine.execute(
+            [TransferOp(kind=OpKind.GET, csp_id="m", name="absent", size=1)]
+        )
+        assert not results[0].ok
+        assert results[0].error_type == "ObjectNotFoundError"
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_retry_loop_surfaces_non_provider_errors_instead_of_failing_over(
+        parallelism):
+    alt = InMemoryCSP("alt")
+    engine = AsyncTransferEngine({"m": InMemoryCSP("m"), "alt": alt},
+                                 parallelism=parallelism)
+    try:
+        loop = ShareRetryLoop(engine, policy=RetryPolicy(max_attempts=2,
+                                                         base_delay=0.0))
+        with pytest.raises(ValueError, match="encode bug"):
+            loop.run(
+                items=[("s0", "m")],
+                build_op=lambda key, csp: TransferOp(
+                    kind=OpKind.PUT, csp_id=csp, name="s0", size=1,
+                    data_fn=_broken_encode if csp == "m" else (lambda: b"x")),
+                on_success=lambda key, csp, result: None,
+                on_giveup=lambda key, csp, result: None,
+                pick_alternate=lambda key, csp, tried: "alt",
+            )
+        assert alt.object_count == 0  # the bug was not hidden by failover
+    finally:
+        engine.close()
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +435,35 @@ def test_retry_loop_verify_reclassifies_as_permanent_on_async_engine():
         assert got == {"s0": ("alt", b"genuine")}
         history = [(a.csp_id, a.ok) for a in attempts["s0"]]
         assert history == [("src", False), ("alt", True)]
+    finally:
+        engine.close()
+
+
+def test_async_retry_loop_is_awaitable_on_the_callers_loop():
+    # the coroutine face runs the same campaign without a thread hop:
+    # a permanent failure fails over in-batch on the caller's loop
+    bad, alt = AlwaysAuthFail("bad"), InMemoryCSP("alt")
+    engine = AsyncTransferEngine({"bad": bad, "alt": alt}, parallelism=2)
+    loop = AsyncShareRetryLoop(engine, policy=RetryPolicy(max_attempts=2,
+                                                          base_delay=0.0))
+
+    async def campaign():
+        return await loop.run(
+            items=[("s0", "bad")],
+            build_op=lambda key, csp: TransferOp(
+                kind=OpKind.PUT, csp_id=csp, name="s0", data=b"x" * 16),
+            on_success=lambda key, csp, result: None,
+            on_giveup=lambda key, csp, result: None,
+            pick_alternate=lambda key, csp, tried: (
+                "alt" if "alt" not in tried else None),
+        )
+
+    try:
+        results, attempts = asyncio.run(campaign())
+        assert [a.csp_id for a in attempts["s0"]] == ["bad", "alt"]
+        assert [a.round_no for a in attempts["s0"]] == [0, 0]  # in-batch
+        assert alt.object_count == 1
+        assert engine._owns_loop is False
     finally:
         engine.close()
 

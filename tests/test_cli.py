@@ -33,6 +33,21 @@ class TestInit:
         assert settings["t"] == 2 and settings["n"] == 3
         assert len(settings["providers"]) == 3
 
+    def test_store_with_retired_settings_keys_still_loads(self, store,
+                                                           tmp_path):
+        # stores written before the single transfer engine carry a
+        # "transfer_backend" key; the CLI reads only keys it knows
+        path = store / CONFIG_NAME
+        settings = json.loads(path.read_text())
+        settings.update(transfer_backend="thread", parallelism=2)
+        path.write_text(json.dumps(settings))
+        source = tmp_path / "old.txt"
+        source.write_bytes(b"written by an older store " * 50)
+        assert run(store, "put", source) == 0
+        out = tmp_path / "old-restored.txt"
+        assert run(store, "get", "old.txt", "-o", out) == 0
+        assert out.read_bytes() == source.read_bytes()
+
     def test_refuses_double_init(self, store, tmp_path, capsys):
         rc = main(
             ["--store", str(store), "init", "--key", "k",

@@ -1,9 +1,12 @@
-"""Deterministic unit tests for the scatter/gather pool.
+"""Deterministic scheduling tests for the concurrent transfer engine.
 
-The fake provider here is barrier-instrumented: operations can be made
-to rendezvous (proving genuine concurrency) or to block on events
-(pinning completion order), so every assertion about interleaving is
-forced by synchronisation rather than by timing luck.
+:class:`AsyncTransferEngine` with *synchronous* providers: every call is
+offloaded to the engine's dispatch threads, so these tests cover the
+thread-offload path that test_async_engine.py's native providers skip.
+The fake provider is barrier-instrumented: operations can be made to
+rendezvous (proving genuine concurrency) or to block on events (pinning
+completion order), so every assertion about interleaving is forced by
+synchronisation rather than by timing luck.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import time
 
 import pytest
 
-from repro.core.parallel import ParallelEngine, ScatterGatherPool
+from repro.core.async_engine import AsyncTransferEngine
 from repro.core.retry import ShareRetryLoop
 from repro.core.transfer import DirectEngine, OpKind, TransferOp
 from repro.csp.base import CloudProvider, ObjectInfo
@@ -24,6 +27,22 @@ from repro.obs import Observability
 
 
 WAIT = 10.0  # generous sync timeout; tests fail (not hang) past this
+
+
+@pytest.fixture
+def make_engine():
+    """Build engines that are closed (loop and threads stopped) after
+    the test."""
+    engines: list[AsyncTransferEngine] = []
+
+    def make(providers, **kwargs) -> AsyncTransferEngine:
+        engine = AsyncTransferEngine(providers, **kwargs)
+        engines.append(engine)
+        return engine
+
+    yield make
+    for engine in engines:
+        engine.close()
 
 
 class ConcurrencyProbe:
@@ -108,21 +127,21 @@ def _put_ops(csp_id: str, count: int, group=None) -> list[TransferOp]:
 # admission bounds
 
 
-def test_per_csp_bound_is_respected_and_reached():
-    # 6 ops to one CSP, 4 workers, per-CSP bound 2: the barrier forces
+def test_per_csp_bound_is_respected_and_reached(make_engine):
+    # 6 ops to one CSP, parallelism 4, per-CSP bound 2: the barrier forces
     # pairs of ops to be in flight together (lower bound), the probe
     # proves the bound was never exceeded (upper bound).
     provider = GateProvider("csp0", barrier=threading.Barrier(2))
-    engine = ParallelEngine({"csp0": provider}, parallelism=4,
-                            max_inflight_per_csp=2)
+    engine = make_engine({"csp0": provider}, parallelism=4,
+                         max_inflight_per_csp=2)
     results = engine.execute(_put_ops("csp0", 6))
     assert all(r.ok for r in results)
     assert provider.probe.max_seen == 2
     assert provider.inner.object_count == 6
 
 
-def test_total_bound_is_respected_across_csps():
-    # 8 ops spread over 4 CSPs, 4 workers, total bound 2 and no per-CSP
+def test_total_bound_is_respected_across_csps(make_engine):
+    # 8 ops spread over 4 CSPs, parallelism 4, total bound 2 and no per-CSP
     # bound: one shared probe sees at most 2 in flight anywhere.
     probe = ConcurrencyProbe()
     barrier = threading.Barrier(2)
@@ -130,23 +149,23 @@ def test_total_bound_is_respected_across_csps():
         f"csp{i}": GateProvider(f"csp{i}", probe=probe, barrier=barrier)
         for i in range(4)
     }
-    engine = ParallelEngine(providers, parallelism=4,
-                            max_inflight_total=2)
+    engine = make_engine(providers, parallelism=4,
+                         max_inflight_total=2)
     ops = [op for i in range(4) for op in _put_ops(f"csp{i}", 2)]
     results = engine.execute(ops)
     assert all(r.ok for r in results)
     assert probe.max_seen == 2
 
 
-def test_one_saturated_csp_does_not_starve_others():
+def test_one_saturated_csp_does_not_starve_others(make_engine):
     # csp_slow's only admission slot is held by an op blocked on an
     # event; ops for csp_fast must still dispatch and complete while it
-    # is stuck (the scheduler scans past saturated providers).
+    # is stuck (the engine skips over ops whose provider is saturated).
     hold = threading.Event()
     slow = GateProvider("slow", hold=hold)
     fast = GateProvider("fast")
-    engine = ParallelEngine({"slow": slow, "fast": fast}, parallelism=3,
-                            max_inflight_per_csp=1)
+    engine = make_engine({"slow": slow, "fast": fast}, parallelism=3,
+                         max_inflight_per_csp=1)
     done_fast = threading.Event()
     results: list = []
 
@@ -174,13 +193,13 @@ def test_one_saturated_csp_does_not_starve_others():
 # group quotas: straggler cancellation
 
 
-def test_straggler_cancellation_skips_queued_ops():
+def test_straggler_cancellation_skips_queued_ops(make_engine):
     # total bound 1 serialises dispatch; once the first op of the group
     # succeeds the quota is spent, so the two queued ops are cancelled
     # without ever reaching the provider.
     provider = GateProvider("csp0")
-    engine = ParallelEngine({"csp0": provider}, parallelism=2,
-                            max_inflight_total=1)
+    engine = make_engine({"csp0": provider}, parallelism=2,
+                         max_inflight_total=1)
     results = engine.execute(_put_ops("csp0", 3, group="chunk-A"),
                              group_quota={"chunk-A": 1})
     assert sum(1 for r in results if r.ok) == 1
@@ -192,7 +211,7 @@ def test_straggler_cancellation_skips_queued_ops():
 # failover streams, it does not wait for stragglers
 
 
-def test_failover_on_first_error_does_not_wait_for_stragglers():
+def test_failover_on_first_error_does_not_wait_for_stragglers(make_engine):
     # csp_bad fails permanently (auth): the retry loop must re-dispatch
     # that share to csp_alt immediately, while csp_slow's op is still in
     # flight.  csp_slow's op only completes after csp_alt has uploaded,
@@ -214,8 +233,8 @@ def test_failover_on_first_error_does_not_wait_for_stragglers():
     bad = BadProvider("bad")
     slow = GateProvider("slow", hold=alt_uploaded)
     alt = AltProvider("alt")
-    engine = ParallelEngine({"bad": bad, "slow": slow, "alt": alt},
-                            parallelism=3)
+    engine = make_engine({"bad": bad, "slow": slow, "alt": alt},
+                         parallelism=3)
     loop = ShareRetryLoop(engine, policy=RetryPolicy(max_attempts=2,
                                                      base_delay=0.0))
     landed: dict = {}
@@ -243,39 +262,11 @@ def test_failover_on_first_error_does_not_wait_for_stragglers():
     assert history == ["bad", "alt"]
 
 
-def test_transient_failures_defer_to_next_round_with_backoff():
-    calls = {"n": 0}
-
-    class FlakyProvider(GateProvider):
-        def upload(self, name: str, data: bytes) -> None:
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise CSPUnavailableError("blip", csp_id=self.csp_id)
-            super().upload(name, data)
-
-    flaky = FlakyProvider("flaky")
-    engine = ParallelEngine({"flaky": flaky}, parallelism=2)
-    loop = ShareRetryLoop(engine, policy=RetryPolicy(max_attempts=3,
-                                                     base_delay=0.0))
-    results, attempts = loop.run(
-        items=[("s0", "flaky")],
-        build_op=lambda key, csp: TransferOp(
-            kind=OpKind.PUT, csp_id=csp, name="s0", data=b"y" * 16),
-        on_success=lambda key, csp, result: None,
-        on_giveup=lambda key, csp, result: None,
-        pick_alternate=lambda key, csp, tried: None,
-    )
-    assert [a.ok for a in attempts["s0"]] == [False, True]
-    # the retry ran in a later round (same provider), not as a failover
-    assert [a.round_no for a in attempts["s0"]] == [0, 1]
-    assert flaky.inner.object_count == 1
-
-
 # ---------------------------------------------------------------------------
 # serial identity
 
 
-def test_parallelism_one_is_bit_for_bit_serial():
+def test_parallelism_one_is_bit_for_bit_serial(make_engine):
     def fleet():
         return {f"csp{i}": InMemoryCSP(f"csp{i}") for i in range(3)}
 
@@ -287,10 +278,10 @@ def test_parallelism_one_is_bit_for_bit_serial():
     direct = DirectEngine(serial_csps)
     direct_results = direct.execute(ops(), group_quota={"g": 3})
     par_csps = fleet()
-    parallel = ParallelEngine(par_csps, parallelism=1,
-                              max_inflight_per_csp=2)
+    parallel = make_engine(par_csps, parallelism=1, max_inflight_per_csp=2)
     parallel_results = parallel.execute(ops(), group_quota={"g": 3})
-    assert parallel._pool is None  # no threads were ever started
+    # no loop or dispatch thread was ever started
+    assert parallel._loop is None and parallel._executor is None
     assert len(direct_results) == len(parallel_results)
     for a, b in zip(direct_results, parallel_results):
         assert (a.ok, a.cancelled, a.error_type, a.op.name, a.op.csp_id) == \
@@ -304,10 +295,10 @@ def test_parallelism_one_is_bit_for_bit_serial():
 # observability
 
 
-def test_pool_occupancy_gauges_and_counters():
+def test_pool_occupancy_gauges_and_counters(make_engine):
     provider = GateProvider("csp0", barrier=threading.Barrier(2))
-    engine = ParallelEngine({"csp0": provider}, parallelism=4,
-                            max_inflight_per_csp=2)
+    engine = make_engine({"csp0": provider}, parallelism=4,
+                         max_inflight_per_csp=2)
     engine.obs = Observability()
     results = engine.execute(_put_ops("csp0", 6))
     assert all(r.ok for r in results)
@@ -321,10 +312,10 @@ def test_pool_occupancy_gauges_and_counters():
     assert snap.gauge_value("cyrus_pool_queue_depth") == 0
 
 
-def test_cancelled_counter_counts_quota_skips():
+def test_cancelled_counter_counts_quota_skips(make_engine):
     provider = GateProvider("csp0")
-    engine = ParallelEngine({"csp0": provider}, parallelism=2,
-                            max_inflight_total=1)
+    engine = make_engine({"csp0": provider}, parallelism=2,
+                         max_inflight_total=1)
     engine.obs = Observability()
     engine.execute(_put_ops("csp0", 3, group="g"), group_quota={"g": 1})
     snap = engine.obs.snapshot()
@@ -332,21 +323,21 @@ def test_cancelled_counter_counts_quota_skips():
 
 
 # ---------------------------------------------------------------------------
-# pool plumbing
+# engine plumbing
 
 
 def test_pool_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        ScatterGatherPool(workers=0)
+        AsyncTransferEngine({}, parallelism=0)
     with pytest.raises(ValueError):
-        ScatterGatherPool(workers=2, max_inflight_per_csp=0)
+        AsyncTransferEngine({}, parallelism=2, max_inflight_per_csp=0)
     with pytest.raises(ValueError):
-        ParallelEngine({}, parallelism=0)
+        AsyncTransferEngine({}, parallelism=2, max_inflight_total=0)
 
 
-def test_pool_reusable_across_batches():
+def test_pool_reusable_across_batches(make_engine):
     provider = GateProvider("csp0")
-    engine = ParallelEngine({"csp0": provider}, parallelism=3)
+    engine = make_engine({"csp0": provider}, parallelism=3)
     for batch in range(3):
         results = engine.execute(_put_ops("csp0", 4))
         assert all(r.ok for r in results)
@@ -358,7 +349,7 @@ def test_pool_reusable_across_batches():
 
 
 # ---------------------------------------------------------------------------
-# injected-clock backoff (the ShareRetryLoop wall-clock sleep fix)
+# injected-clock backoff: no retry path ever sleeps on the wall clock
 
 
 class FakeClock:
@@ -426,3 +417,39 @@ def test_resilient_provider_backoff_uses_injected_clock():
     wrapped.upload("obj", b"data")
     assert time.monotonic() - t0 < 5.0
     assert fake.slept == [policy.delay(1)]  # capped by max_delay, no real sleep
+
+
+def test_transient_failures_defer_to_next_round_with_backoff(make_engine):
+    # a transient failure is retried on the same provider in a later
+    # round (not failed over), and the concurrent engine's rounds back
+    # off through the same injected clock as the serial path: no real
+    # 10 s/20 s sleeps
+    calls = {"n": 0}
+
+    class Flaky(GateProvider):
+        def upload(self, name: str, data: bytes) -> None:
+            calls["n"] += 1
+            if calls["n"] < 3:
+                raise CSPUnavailableError("blip", csp_id=self.csp_id)
+            super().upload(name, data)
+
+    fake = FakeClock()
+    flaky = Flaky("f")
+    engine = make_engine({"f": flaky}, clock=fake, parallelism=2)
+    policy = RetryPolicy(max_attempts=3, base_delay=10.0, jitter=0.0)
+    t0 = time.monotonic()
+    results, attempts = ShareRetryLoop(engine, policy=policy).run(
+        items=[("s0", "f")],
+        build_op=lambda key, csp: TransferOp(
+            kind=OpKind.PUT, csp_id=csp, name="s0", data=b"z" * 8),
+        on_success=lambda key, csp, result: None,
+        on_giveup=lambda key, csp, result: None,
+        pick_alternate=lambda key, csp, tried: None,
+    )
+    assert [a.ok for a in attempts["s0"]] == [False, False, True]
+    assert [a.round_no for a in attempts["s0"]] == [0, 1, 2]
+    assert [a.csp_id for a in attempts["s0"]] == ["f", "f", "f"]
+    assert flaky.inner.object_count == 1
+    assert fake.slept == [policy.delay(1), policy.delay(2)]
+    assert time.monotonic() - t0 < 5.0
+    assert engine._loop is not None  # the loop-resident path ran

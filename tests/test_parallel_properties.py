@@ -1,10 +1,11 @@
 """Property: parallelism is an implementation detail, not a behaviour.
 
-For any workload, running the client at parallelism 1 (the serial
-reference path), 2 and 8 must leave the cloud in the same state —
+For any workload, running the client on the serial reference engine
+(:class:`DirectEngine`) and on the default concurrent engine at
+parallelism 1, 2 and 8 must leave the cloud in the same state —
 identical object names on every CSP, identical share bytes, identical
-chunk tables — and read back identical data.  The pool reorders *when*
-ops run, never *what* runs or *where* it lands.
+chunk tables — and read back identical data.  Concurrency reorders
+*when* ops run, never *what* runs or *where* it lands.
 
 Share objects (40-hex chunk-share names) are compared by content hash;
 metadata objects by name only, since their payload embeds wall-clock
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from repro.core.client import CyrusClient  # noqa: E402
 from repro.core.config import CyrusConfig  # noqa: E402
+from repro.core.transfer import DirectEngine  # noqa: E402
 from repro.csp.memory import InMemoryCSP  # noqa: E402
 from repro.recovery.scrub import _SHARE_NAME  # noqa: E402
 from repro.util.hashing import sha1_hex  # noqa: E402
@@ -27,11 +29,13 @@ from repro.util.hashing import sha1_hex  # noqa: E402
 from tests.conftest import SMALL_CHUNKS  # noqa: E402
 
 LEVELS = (1, 2, 8)
-BACKENDS = ("thread", "async")
 
 
-def _run_workload(files: list[bytes], parallelism: int, backend: str = "thread"):
+def _run_workload(files: list[bytes], parallelism: int, reference=False):
     """Fresh fleet + client; put every file, read every file back.
+
+    ``reference`` runs on a plain :class:`DirectEngine` instead of the
+    engine ``CyrusClient.create`` builds.
 
     Returns (reads, per-CSP object maps, chunk table) — everything
     that describes the externally observable outcome.
@@ -41,10 +45,12 @@ def _run_workload(files: list[bytes], parallelism: int, backend: str = "thread")
         key="prop-key", t=2, n=3,
         parallelism=parallelism,
         max_inflight_per_csp=2 if parallelism > 1 else None,
-        transfer_backend=backend,
         **SMALL_CHUNKS,
     )
-    client = CyrusClient.create(csps, config, client_id="alice")
+    engine = (DirectEngine({c.csp_id: c for c in csps}) if reference
+              else None)
+    client = CyrusClient.create(csps, config, client_id="alice",
+                                engine=engine)
     try:
         for i, data in enumerate(files):
             client.put(f"file-{i}.bin", data)
@@ -105,25 +111,23 @@ def test_outcome_is_identical_across_parallelism_levels(files):
     )
 )
 def test_async_backend_outcome_matches_serial_reference(files):
-    """The asyncio engine is outcome-identical to the serial engine.
+    """The concurrent engine is outcome-identical to the serial engine.
 
-    At parallelism=1 this is the bit-for-bit anchor: the async engine
+    At parallelism=1 this is the bit-for-bit anchor: the engine
     short-circuits to the inherited serial path, so provider state,
-    chunk tables and share hashes must match the thread-backend serial
-    baseline exactly.  Higher levels then pin the event-loop dispatch
-    path to the same outcome.
+    chunk tables and share hashes must match a plain
+    :class:`DirectEngine` run exactly.  Higher levels then pin the
+    event-loop dispatch path to the same outcome.
     """
-    baseline = _run_workload(files, parallelism=1, backend="thread")
+    baseline = _run_workload(files, parallelism=1, reference=True)
     base_reads, base_objects, base_table = baseline
     assert base_reads == tuple(files)
     for level in LEVELS:
-        reads, objects, table = _run_workload(
-            files, parallelism=level, backend="async"
-        )
-        assert reads == base_reads, f"async parallelism={level} read differs"
+        reads, objects, table = _run_workload(files, parallelism=level)
+        assert reads == base_reads, f"parallelism={level} read differs"
         assert table == base_table, (
-            f"async parallelism={level} chunk table differs"
+            f"parallelism={level} chunk table differs"
         )
         assert objects == base_objects, (
-            f"async parallelism={level} left different objects in the cloud"
+            f"parallelism={level} left different objects in the cloud"
         )

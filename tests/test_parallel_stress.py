@@ -1,8 +1,9 @@
-"""Seeded multi-thread chaos: parallel scatter/gather under fault injection.
+"""Seeded concurrent chaos: the async transfer engine under fault injection.
 
 The serial chaos suite (test_faults_chaos.py) proves the failure
-handling is *correct*; this one proves it stays correct when four pool
-workers race through the same breakers, journal, metrics registry and
+handling is *correct*; this one proves it stays correct when four
+concurrent dispatches (on the engine's loop and dispatch threads) race
+through the same breakers, journal, metrics registry and
 fault-injecting providers at once.  The ground truth is a counting
 wrapper sitting *under* the :class:`FaultyProvider`: every operation
 that genuinely reached storage is tallied there with its byte size, and
@@ -22,16 +23,18 @@ Marked ``slow``; the CI chaos matrix runs it across several seeds.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro.core.client import CyrusClient
 from repro.core.config import CyrusConfig
-from repro.core.parallel import (
+from repro.core.async_engine import (
     POOL_DISPATCH,
     POOL_INFLIGHT_PEAK,
-    ParallelEngine,
+    POOL_INFLIGHT_TOTAL,
+    AsyncTransferEngine,
 )
 from repro.csp.base import CloudProvider
 from repro.csp.memory import InMemoryCSP
@@ -121,7 +124,7 @@ def _run_parallel_scenario(seed: int):
         parallelism=PARALLELISM, max_inflight_per_csp=2,
         **SMALL_CHUNKS,
     )
-    engine = ParallelEngine(
+    engine = AsyncTransferEngine(
         {p.csp_id: p for p in providers}, clock=clock,
         parallelism=PARALLELISM, max_inflight_per_csp=2,
     )
@@ -146,10 +149,23 @@ def _run_parallel_scenario(seed: int):
 
 @pytest.mark.slow
 class TestParallelChaosStress:
-    def test_ledger_matches_ground_truth_and_scrub_is_clean(self, fault_seed):
-        client, providers, counters = _run_parallel_scenario(fault_seed)
+    @pytest.fixture
+    def scenario(self, fault_seed):
+        # frequent thread switches make lost updates on the shared
+        # counters (dispatch threads emit concurrently) far likelier
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            client, providers, counters = _run_parallel_scenario(fault_seed)
+        finally:
+            sys.setswitchinterval(interval)
+        yield client, providers, counters
+        client.engine.close()
 
-        # the chaos plan actually bit, and the pool actually ran ops
+    def test_ledger_matches_ground_truth_and_scrub_is_clean(self, scenario):
+        client, providers, counters = scenario
+
+        # the chaos plan actually bit, and the concurrent path ran ops
         injected = {
             kind: sum(p.injected_faults.get(kind, 0) for p in providers)
             for kind in FaultKind
@@ -158,7 +174,7 @@ class TestParallelChaosStress:
         assert injected[FaultKind.OUTAGE] > 0
         assert injected[FaultKind.CORRUPT] > 0
 
-        # a final full-table scrub (itself running through the pool)
+        # a final full-table scrub (itself running on the engine)
         # finds nothing unaccounted for: every share the parallel
         # uploader landed is in the chunk table — no orphans
         report = client.scrub()
@@ -197,14 +213,17 @@ class TestParallelChaosStress:
                 TRANSFER_BYTES, csp=csp, direction="down"
             ) == counting.bytes_down
 
-    def test_pool_bounds_hold_under_chaos(self, fault_seed):
+    def test_pool_bounds_hold_under_chaos(self, scenario):
         """The high-water occupancy gauges prove the per-CSP and total
         in-flight caps were never breached, even while retries and
         failovers were feeding extra ops into running batches."""
-        client, _providers, counters = _run_parallel_scenario(fault_seed)
+        client, _providers, counters = scenario
         snap = client.obs.snapshot()
         total_peak = snap.gauge_value(POOL_INFLIGHT_PEAK, csp="*")
         assert 0 < total_peak <= PARALLELISM
         for counting in counters:
             peak = snap.gauge_value(POOL_INFLIGHT_PEAK, csp=counting.csp_id)
             assert peak <= 2  # max_inflight_per_csp
+        # no lost update in the shared occupancy accounting: every slot
+        # the racing dispatch threads claimed was released again
+        assert snap.gauge_value(POOL_INFLIGHT_TOTAL) == 0
