@@ -13,7 +13,7 @@ import time
 
 from repro.bench.reporting import render_table
 from repro.selection import ChunkDownload, CyrusSelector, DownloadProblem
-from repro.selection.relaxation import solve_fractional_alternating
+from repro.selection.relaxation import solve_fractional_exact
 
 from benchmarks.conftest import print_table
 
@@ -44,7 +44,7 @@ def test_ablation_solver_scalability(benchmark):
         start = time.perf_counter()
         plan = selector.select(problem)
         elapsed = time.perf_counter() - start
-        lower = solve_fractional_alternating(problem).y
+        lower = solve_fractional_exact(problem).y
         times[size] = elapsed
         gaps[size] = plan.bottleneck_time / max(lower, 1e-12)
         rows.append(

@@ -5,7 +5,8 @@ decided — and its downloads can start — before later chunks are even
 considered):
 
 1. solve the fractional relaxation with earlier chunks' selections
-   fixed (paper line 2);
+   fixed (paper line 2; by default exactly, as a min-makespan flow —
+   see :mod:`repro.selection.relaxation`);
 2. fix the bandwidths from that solution (line 3; here the closed-form
    optimal allocation);
 3. choose an integral t-subset for the current chunk minimising the
@@ -34,8 +35,8 @@ from repro.selection.problem import (
 )
 from repro.selection.relaxation import (
     FractionalSolution,
-    solve_fractional_alternating,
     solve_fractional_convexified,
+    solve_fractional_exact,
 )
 
 
@@ -47,8 +48,8 @@ class CyrusSelector:
             many chunk fixings (1 = the paper's exact schedule).
         enumeration_limit: Max t-subsets to enumerate exactly per chunk;
             wider choices fall back to greedy marginal-cost picking.
-        relaxation: ``"alternating"`` (default) or ``"convexified"``
-            (the paper's D-hat construction via SLSQP).
+        relaxation: ``"exact"`` (default; the min-cut solver) or
+            ``"convexified"`` (the paper's D-hat construction via SLSQP).
         order: ``"given"`` keeps the caller's chunk order (the paper's
             r = 1..R); ``"largest-first"`` fixes big chunks first, which
             slightly helps very heterogeneous batches.
@@ -60,12 +61,12 @@ class CyrusSelector:
         self,
         resolve_every: int = 1,
         enumeration_limit: int = 512,
-        relaxation: str = "alternating",
+        relaxation: str = "exact",
         order: str = "given",
     ):
         if resolve_every < 1:
             raise ValueError("resolve_every must be >= 1")
-        if relaxation not in ("alternating", "convexified"):
+        if relaxation not in ("exact", "convexified"):
             raise ValueError(f"unknown relaxation {relaxation!r}")
         if order not in ("given", "largest-first"):
             raise ValueError(f"unknown order {order!r}")
@@ -86,7 +87,7 @@ class CyrusSelector:
             return solve_fractional_convexified(
                 problem, fixed_loads=fixed_loads, fixed_chunks=fixed_chunks
             )
-        return solve_fractional_alternating(
+        return solve_fractional_exact(
             problem, fixed_loads=fixed_loads, fixed_chunks=fixed_chunks
         )
 

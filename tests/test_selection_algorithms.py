@@ -15,8 +15,8 @@ from repro.selection import (
     RoundRobinSelector,
 )
 from repro.selection.relaxation import (
-    solve_fractional_alternating,
     solve_fractional_convexified,
+    solve_fractional_exact,
 )
 
 TESTBED_CAPS = {f"fast{i}": 15e6 for i in range(4)} | {
@@ -40,17 +40,17 @@ def make_problem(chunks=6, t=2, n=4, seed=0, caps=None, client=40e6):
 
 
 class TestRelaxations:
-    def test_alternating_feasible(self):
+    def test_exact_feasible(self):
         p = make_problem(chunks=5, seed=1)
-        sol = solve_fractional_alternating(p)
+        sol = solve_fractional_exact(p)
         for chunk in p.chunks:
             fracs = sol.chunk_fractions(chunk.chunk_id)
             assert sum(fracs.values()) == pytest.approx(p.t, abs=1e-6)
             assert all(-1e-9 <= v <= 1 + 1e-9 for v in fracs.values())
 
-    def test_alternating_lower_bounds_integral(self):
+    def test_exact_lower_bounds_integral(self):
         p = make_problem(chunks=4, seed=2)
-        frac = solve_fractional_alternating(p)
+        frac = solve_fractional_exact(p)
         integral = BruteForceSelector().select(p)
         assert frac.y <= integral.bottleneck_time + 1e-6
 
@@ -63,9 +63,9 @@ class TestRelaxations:
 
     def test_engines_agree_roughly(self):
         p = make_problem(chunks=3, seed=4)
-        alt = solve_fractional_alternating(p)
+        exact = solve_fractional_exact(p)
         cvx = solve_fractional_convexified(p)
-        assert cvx.y == pytest.approx(alt.y, rel=0.25) or cvx.y >= alt.y
+        assert cvx.y == pytest.approx(exact.y, rel=0.25) or cvx.y >= exact.y
 
     def test_fixed_chunks_respected(self):
         p = make_problem(chunks=4, seed=5)
@@ -73,10 +73,54 @@ class TestRelaxations:
         fixed_loads = {c: 0.0 for c in p.csps}
         for c in first.available[: p.t]:
             fixed_loads[c] += first.share_size
-        sol = solve_fractional_alternating(
+        sol = solve_fractional_exact(
             p, fixed_loads=fixed_loads, fixed_chunks={first.chunk_id}
         )
         assert first.chunk_id not in {r for r, _ in sol.d}
+
+    def test_convexified_keeps_valid_iterate_at_slsqp_stop(self):
+        # this batch stops SLSQP at status 9 (iteration limit) on scipy
+        # 1.17; the last iterate is still a valid fractional assignment
+        rng = random.Random(10)
+        ids = sorted(TESTBED_CAPS)
+        p = DownloadProblem(
+            chunks=tuple(
+                ChunkDownload(f"c{i}", rng.randint(1, 8) * 250_000,
+                              tuple(rng.sample(ids, 3)))
+                for i in range(6)
+            ),
+            t=2, link_caps=TESTBED_CAPS, client_cap=40e6,
+        )
+        sol = solve_fractional_convexified(p)
+        for chunk in p.chunks:
+            fracs = sol.chunk_fractions(chunk.chunk_id)
+            assert sum(fracs.values()) == pytest.approx(p.t, abs=1e-6)
+        assert CyrusSelector(relaxation="convexified").select(p)
+
+    @pytest.mark.parametrize("status", [8, 9])
+    def test_convexified_slsqp_stop_codes(self, monkeypatch, status):
+        from scipy import optimize
+
+        real = optimize.minimize
+        p = make_problem(chunks=3, seed=3)
+
+        def stopped(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.success, res.status, res.message = False, status, "stopped"
+            return res
+
+        monkeypatch.setattr(optimize, "minimize", stopped)
+        sol = solve_fractional_convexified(p)  # valid iterate: kept
+        assert sol.y > 0
+
+        def stopped_invalid(*args, **kwargs):
+            res = stopped(*args, **kwargs)
+            res.x[:] = 0.0  # no chunk's fractions sum to t
+            return res
+
+        monkeypatch.setattr(optimize, "minimize", stopped_invalid)
+        with pytest.raises(SelectionError, match=f"status {status}"):
+            solve_fractional_convexified(p)
 
 
 class TestCyrusSelector:
