@@ -73,8 +73,8 @@ def load_settings(store: Path) -> dict:
 
 
 #: Clients built during the current command; ``main`` closes them on the
-#: way out, so every command shares one teardown path (encode pool,
-#: engine threads/loop) without per-command boilerplate.
+#: way out, so every command shares one teardown path (engine
+#: threads/loop) without per-command boilerplate.
 _active_clients: list[CyrusClient] = []
 
 
@@ -94,7 +94,6 @@ def build_client(store: Path) -> CyrusClient:
         parallelism=settings.get("parallelism", 1),
         max_inflight_per_csp=settings.get("max_inflight_per_csp"),
         max_inflight_total=settings.get("max_inflight_total"),
-        encode_workers=settings.get("encode_workers", 0),
     )
     from repro.recovery import IntentJournal
     from repro.redundancy import DebtLedger
@@ -151,7 +150,6 @@ def cmd_init(args) -> int:
         "chunk_avg": args.chunk_avg,
         "chunk_max": args.chunk_max,
         "parallelism": args.parallelism,
-        "encode_workers": args.encode_workers,
         "max_inflight_per_csp": args.max_inflight_per_csp,
         "max_inflight_total": None,
         "client_id": args.client_id or f"cli-{uuid.uuid4().hex[:8]}",
@@ -735,8 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-max", type=int, default=2 * 1024 * 1024)
     p.add_argument("--parallelism", type=int, default=1,
                    help="concurrent transfer ops (1 = serial)")
-    p.add_argument("--encode-workers", type=int, default=0,
-                   help="erasure-encode worker processes (0 = inline)")
     p.add_argument("--max-inflight-per-csp", type=int, default=None,
                    help="concurrent ops allowed per provider when parallel")
     p.add_argument("--client-id", default=None)

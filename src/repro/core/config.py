@@ -42,10 +42,6 @@ class CyrusConfig:
             per provider when parallel; None means no per-CSP bound.
         max_inflight_total: Concurrent in-flight operations allowed
             across all providers; None means "equal to parallelism".
-        encode_workers: Worker *processes* for erasure encoding; 0 (the
-            default) encodes inline on the calling thread.  Threads
-            cannot speed up the CPU-bound GF(2^8) math, so CPU-parallel
-            encode is a separate dial from transfer ``parallelism``.
     """
 
     key: str
@@ -57,13 +53,10 @@ class CyrusConfig:
     chunk_min: int = 64 * 1024
     chunk_avg: int = 256 * 1024
     chunk_max: int = 2 * 1024 * 1024
-    chunker_engine: str = "vectorized"
-    chunker_seed: int = 0x5EED
     respect_clusters: bool = True
     parallelism: int = 1
     max_inflight_per_csp: int | None = None
     max_inflight_total: int | None = None
-    encode_workers: int = 0
 
     def __post_init__(self) -> None:
         if not self.key:
@@ -93,10 +86,6 @@ class CyrusConfig:
             raise ConfigurationError(
                 f"max_inflight_total must be >= 1, "
                 f"got {self.max_inflight_total}"
-            )
-        if self.encode_workers < 0:
-            raise ConfigurationError(
-                f"encode_workers must be >= 0, got {self.encode_workers}"
             )
 
     def plan_n(self, available_csps: int) -> int:

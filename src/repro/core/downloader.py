@@ -18,7 +18,11 @@ from dataclasses import dataclass, field
 
 from repro.core.cloud import CSPStatus, CyrusCloud
 from repro.core.config import CyrusConfig
-from repro.core.migration import ShareMigration, migrate_chunk_shares
+from repro.core.migration import (
+    ShareMigration,
+    migrate_chunk_shares,
+    regenerate,
+)
 from repro.core.naming import chunk_share_object_name
 from repro.core.retry import ShareRetryLoop
 from repro.core.transfer import OpKind, OpResult, TransferEngine, TransferOp
@@ -26,7 +30,6 @@ from repro.core.uploader import get_sharer
 from repro.csp.resilient import HealthRegistry, RetryPolicy
 from repro.erasure import Share
 from repro.errors import (
-    CyrusError,
     InsufficientSharesError,
     MetadataError,
     SelectionError,
@@ -234,18 +237,7 @@ class Downloader:
         # assemble only the window: chunks verify individually by id
         decoded: dict[str, bytes] = dict(cached)
         for chunk_id, state in states.items():
-            sharer = get_sharer(self.config.key, state.t, state.n)
-            shares = [
-                Share(index=i, data=blob, t=state.t, n=state.n,
-                      chunk_size=state.size)
-                for i, blob in sorted(state.shares.items())
-            ]
-            plaintext = sharer.join(shares)
-            if sha1_hex(plaintext) != chunk_id:
-                plaintext = self._repair_chunk(state, sharer)
-            decoded[chunk_id] = plaintext
-            if self.cache is not None:
-                self.cache.put(chunk_id, plaintext)
+            decoded[chunk_id] = self._decode_chunk(state)
         window = bytearray(end - offset if end > offset else 0)
         for record in needed:
             blob = decoded[record.chunk_id]
@@ -500,28 +492,8 @@ class Downloader:
     ) -> bytes:
         """Decode each unique chunk once and lay chunks out by offset."""
         decoded: dict[str, bytes] = dict(cached or {})
-        obs = getattr(self.engine, "obs", None)
         for chunk_id, state in states.items():
-            sharer = get_sharer(self.config.key, state.t, state.n)
-            shares = [
-                Share(index=i, data=blob, t=state.t, n=state.n,
-                      chunk_size=state.size)
-                for i, blob in sorted(state.shares.items())
-            ]
-            t0 = obs.clock.now() if obs is not None else 0.0
-            plaintext = sharer.join(shares)
-            if obs is not None:
-                obs.metrics.observe("cyrus_chunk_decode_seconds",
-                                    obs.clock.now() - t0)
-            if sha1_hex(plaintext) != chunk_id:
-                # a fetched share is corrupt; pull the chunk's remaining
-                # shares and decode a verifying t-subset (Section 5.1's
-                # beyond-secret-sharing error tolerance)
-                plaintext = self._repair_chunk(state, sharer)
-            decoded[chunk_id] = plaintext
-            state.decoded = plaintext
-            if self.cache is not None:
-                self.cache.put(chunk_id, plaintext)
+            decoded[chunk_id] = self._decode_chunk(state)
         out = bytearray(node.size)
         covered = 0
         for record in node.chunks:
@@ -539,7 +511,32 @@ class Downloader:
             )
         return bytes(out)
 
-    def _repair_chunk(self, state: _ChunkState, sharer) -> bytes:
+    def _decode_chunk(self, state: _ChunkState) -> bytes:
+        """Decode one chunk from its gathered shares (read-repairing a
+        content-id mismatch) and cache the plaintext."""
+        sharer = get_sharer(self.config.key, state.t, state.n)
+        shares = [
+            Share(index=i, data=blob, t=state.t, n=state.n,
+                  chunk_size=state.size)
+            for i, blob in sorted(state.shares.items())
+        ]
+        obs = getattr(self.engine, "obs", None)
+        t0 = obs.clock.now() if obs is not None else 0.0
+        plaintext = sharer.join(shares)
+        if obs is not None:
+            obs.metrics.observe("cyrus_chunk_decode_seconds",
+                                obs.clock.now() - t0)
+        if sha1_hex(plaintext) != state.chunk_id:
+            # a fetched share is corrupt; pull the chunk's remaining
+            # shares and decode a verifying t-subset (Section 5.1's
+            # beyond-secret-sharing error tolerance)
+            plaintext = self._repair_chunk(state)
+        state.decoded = plaintext
+        if self.cache is not None:
+            self.cache.put(state.chunk_id, plaintext)
+        return plaintext
+
+    def _repair_chunk(self, state: _ChunkState) -> bytes:
         """Recover a chunk whose fetched shares include corrupt ones.
 
         Fetches every remaining share of the chunk from active
@@ -556,49 +553,21 @@ class Downloader:
         obs = getattr(self.engine, "obs", None)
         if obs is not None:
             obs.metrics.inc("cyrus_chunk_repairs_total")
-        last_exc: CyrusError | None = None
+        holders = sorted(state.placements.items())
+        have = state.shares
         for round_no in range(policy.max_attempts):
             if round_no:
                 self.engine.sleep(policy.delay(round_no))
-            missing = [
-                (index, csp)
-                for index, csp in sorted(state.placements.items())
-                if index not in state.shares
-            ]
-            if missing:
-                ops = [
-                    TransferOp(
-                        kind=OpKind.GET,
-                        csp_id=csp,
-                        name=chunk_share_object_name(index, state.chunk_id),
-                        size=state.share_size(),
-                        chunk_id=state.chunk_id,
-                    )
-                    for index, csp in missing
-                ]
-                for (index, _csp), result in zip(
-                    missing, self.engine.execute(ops)
-                ):
-                    if result.ok:
-                        state.shares[index] = result.data
-            shares = [
-                Share(index=i, data=blob, t=state.t, n=state.n,
-                      chunk_size=state.size)
-                for i, blob in sorted(state.shares.items())
-            ]
-            try:
-                return sharer.join_verified(
-                    shares,
-                    verify=lambda plaintext: sha1_hex(plaintext)
-                    == state.chunk_id,
-                )
-            except CyrusError as exc:
-                last_exc = exc
-                state.shares.clear()
+                have = {}
+            regen = regenerate(self.engine, self.config.key, state,
+                               holders, have=have)
+            if regen.plaintext is not None:
+                return regen.plaintext
         raise ShareIntegrityError(
-            f"chunk {state.chunk_id[:8]}: corrupted beyond repair "
-            f"({last_exc})"
-        ) from last_exc
+            f"chunk {state.chunk_id[:8]}: corrupted beyond repair (no "
+            f"{state.t}-subset of its shares verified in "
+            f"{policy.max_attempts} rounds)"
+        )
 
     def _migrate(self, states: dict[str, _ChunkState]) -> list[ShareMigration]:
         """Figure 9: re-home shares stranded on unusable CSPs."""

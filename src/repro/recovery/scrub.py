@@ -15,9 +15,10 @@ repair into a proactive pass over the :class:`GlobalChunkTable`:
    verifying ``t``-subset against the chunk's content hash, and
    re-upload every index that is missing, corrupt, or stranded on an
    unusable CSP — in place when the recorded CSP is healthy, onto a
-   consistent-hash replacement otherwise.  Repairs are journaled as
-   ``migrate`` intents so a crash mid-repair is recovered like any
-   other migration.
+   consistent-hash replacement otherwise.  Fetch-and-decode and the
+   re-upload are :mod:`repro.core.migration`'s ``regenerate`` and
+   ``redisperse``, so repairs are journaled as ``migrate`` intents and
+   a crash mid-repair is recovered like any other migration.
 
 The budget counts share *transfers* (downloads + uploads), the unit
 that actually costs money and time at a provider; a
@@ -34,15 +35,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from repro.core.migration import redisperse, regenerate
 from repro.core.naming import chunk_share_object_name
 from repro.core.transfer import OpKind, TransferOp
 from repro.core.uploader import get_sharer
-from repro.erasure import Share
 from repro.errors import CSPError, CyrusError
 from repro.metadata.codec import unpack_meta_share
 from repro.metadata.store import META_CORRUPT_SHARES
 from repro.obs import span_if
-from repro.util.hashing import sha1_hex
 
 #: Metric names (mirrors the repro.obs constant style).
 SCRUB_SHARES_VERIFIED = "cyrus_scrub_shares_verified_total"
@@ -355,7 +355,6 @@ def _scrub_node_shares(client, node_id, listings, budget, report) -> None:
 def _scrub_chunk(client, chunk_id, listings, unreachable, budget,
                  repair, journal, report, unrecoverable) -> None:
     location = client.chunk_table.get(chunk_id)
-    share_size = max(1, -(-location.size // location.t))
 
     def usable(csp_id: str) -> bool:
         return csp_id in listings  # active and listed this pass
@@ -375,39 +374,21 @@ def _scrub_chunk(client, chunk_id, listings, unreachable, budget,
     if budget[0] is not None:
         take = present[:max(0, budget[0])]
         budget[0] -= len(take)
-    ops = [
-        TransferOp(kind=OpKind.GET, csp_id=csp_id,
-                   name=chunk_share_object_name(index, chunk_id),
-                   size=share_size, chunk_id=chunk_id)
-        for index, csp_id in take
-    ]
-    fetched: dict[int, bytes] = {}
-    for (index, _csp), result in zip(take, client.engine.execute(ops)):
-        if result.ok:
-            fetched[index] = result.data
-    shares = [
-        Share(index=i, data=blob, t=location.t, n=location.n,
-              chunk_size=location.size)
-        for i, blob in sorted(fetched.items())
-    ]
-    sharer = get_sharer(client.config.key, location.t, location.n)
-    try:
-        plaintext = sharer.join_verified(
-            shares, verify=lambda pt: sha1_hex(pt) == chunk_id,
-        )
-    except CyrusError:
+    regen = regenerate(client.engine, client.config.key, location, take)
+    if regen.plaintext is None:
         unrecoverable.append(chunk_id)
         return
+    sharer = get_sharer(client.config.key, location.t, location.n)
     # classify each downloaded share against its true bytes
     good: dict[int, str] = {}
     corrupt: list[tuple[int, str]] = []
     for index, csp_id in take:
-        if index not in fetched:
+        if index not in regen.shares:
             report.shares_missing += 1
             continue
-        truth = sharer.split_indices(plaintext, [index])[0].data
+        truth = sharer.split_indices(regen.plaintext, [index])[0].data
         report.shares_verified += 1
-        if fetched[index] == truth:
+        if regen.shares[index] == truth:
             good[index] = csp_id
         else:
             report.shares_corrupt += 1
@@ -448,28 +429,7 @@ def _scrub_chunk(client, chunk_id, listings, unreachable, budget,
         if not moves:
             report.budget_exhausted = True
             return
-    intent_id = None
-    if journal is not None:
-        intent_id = journal.begin("migrate", chunk=chunk_id, moves=[
-            [index, csp_id, chunk_share_object_name(index, chunk_id)]
-            for index, csp_id in moves
-        ])
-    ops = [
-        TransferOp(kind=OpKind.PUT, csp_id=csp_id,
-                   name=chunk_share_object_name(index, chunk_id),
-                   data=sharer.split_indices(plaintext, [index])[0].data,
-                   chunk_id=chunk_id)
-        for index, csp_id in moves
-    ]
-    for (index, csp_id), result in zip(moves, client.engine.execute(ops)):
-        if not result.ok:
-            continue
-        if (index, csp_id) not in location.placements:
-            client.chunk_table.add_placement(chunk_id, index, csp_id)
-        if intent_id is not None:
-            journal.record(intent_id, "share-uploaded", chunk=chunk_id,
-                           index=index, csp=csp_id,
-                           object=chunk_share_object_name(index, chunk_id))
-        report.shares_repaired += 1
-    if intent_id is not None:
-        journal.commit(intent_id)
+    report.shares_repaired += sum(redisperse(
+        client.engine, client.config.key, location, regen.plaintext, moves,
+        client.chunk_table, journal,
+    ))

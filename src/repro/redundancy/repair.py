@@ -13,11 +13,13 @@ migration:
    breaker is not open, and the CSP is not one of the entry's suspects
    (a provider that failed the original write or returned a corrupt
    share never satisfies the target, even if the table still lists it).
-2. **Regenerate** the missing indices from any ``t`` healthy shares via
-   the keyed codec (``join_verified`` against the chunk's content hash,
-   then ``split_indices`` — the same per-index regeneration scrub uses).
-3. **Re-disperse** onto health-filtered replacement CSPs, journaling the
-   repair as a ``migrate`` intent first, so a crash between upload and
+2. **Regenerate** the chunk from ``t`` healthy shares, falling back to
+   the other healthy shares when those ``t`` do not verify against the
+   chunk's content hash (:func:`repro.core.migration.regenerate`, the
+   path lazy migration, scrub and read-repair share).
+3. **Re-disperse** the missing indices onto health-filtered replacement
+   CSPs through :func:`repro.core.migration.redisperse`, which journals
+   them as a ``migrate`` intent first, so a crash between upload and
    debt retirement replays like any crashed migration: recovery adopts
    the landed shares, and the next repair tick finds the chunk whole
    and retires the debt with zero transfers — the idempotency the
@@ -44,10 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.cloud import CSPStatus
-from repro.core.naming import chunk_share_object_name
+from repro.core.migration import redisperse, regenerate
 from repro.core.transfer import OpKind, TransferOp
-from repro.core.uploader import get_sharer
-from repro.erasure import Share
 from repro.errors import CyrusError
 from repro.obs import span_if
 from repro.redundancy.ledger import (
@@ -57,7 +57,6 @@ from repro.redundancy.ledger import (
     DebtLedger,
     REPAIR_SHARES,
 )
-from repro.util.hashing import sha1_hex
 
 
 @dataclass
@@ -206,68 +205,33 @@ def _repair_entry(client, ledger: DebtLedger, entry: DebtEntry, journal,
             detail=f"no replacement CSP for indices {deficit}",
         )
         return "failed"
-    # budget: t downloads to reconstruct + one upload per regenerated share
-    fetch = sorted(healthy.items())[:location.t]
-    cost = len(fetch) + len(moves)
+    # budget: t downloads to reconstruct + one upload per regenerated
+    # share up front; when those t shares do not verify (one is corrupt
+    # or a GET failed), the fallback fetches further healthy shares
+    # with whatever budget is left
+    holders = sorted(healthy.items())
+    cost = location.t + len(moves)
     if budget[0] is not None and budget[0] < cost:
         return "budget"
+    spare = holders[location.t:]
     if budget[0] is not None:
-        budget[0] -= cost
-    report.transfers_used += cost
-    share_size = max(1, -(-location.size // location.t))
-    results = client.engine.execute([
-        TransferOp(kind=OpKind.GET, csp_id=csp_id,
-                   name=chunk_share_object_name(index, entry.chunk_id),
-                   size=share_size, chunk_id=entry.chunk_id)
-        for index, csp_id in fetch
-    ])
-    shares = [
-        Share(index=index, data=result.data, t=location.t, n=location.n,
-              chunk_size=location.size)
-        for (index, _csp), result in zip(fetch, results)
-        if result.ok
-    ]
-    sharer = get_sharer(client.config.key, location.t, location.n)
-    try:
-        plaintext = sharer.join_verified(
-            shares, verify=lambda pt: sha1_hex(pt) == entry.chunk_id,
-        )
-    except CyrusError:
+        spare = spare[:budget[0] - cost]
+    regen = regenerate(client.engine, client.config.key, location,
+                       holders[:location.t], spare)
+    if regen.plaintext is None:
+        _spend(budget, report, regen.gets)
         unrecoverable.append(entry.chunk_id)
         ledger.note_attempt(
             entry.debt_id,
-            detail=f"no verifying t-subset among {len(shares)} fetched shares",
+            detail=(f"no verifying t-subset among "
+                    f"{len(regen.shares)} fetched shares"),
         )
         return "failed"
-    intent_id = None
-    if journal is not None:
-        intent_id = journal.begin("migrate", chunk=entry.chunk_id, moves=[
-            [index, csp_id, chunk_share_object_name(index, entry.chunk_id)]
-            for index, csp_id in moves
-        ])
-    put_results = client.engine.execute([
-        TransferOp(kind=OpKind.PUT, csp_id=csp_id,
-                   name=chunk_share_object_name(index, entry.chunk_id),
-                   data=sharer.split_indices(plaintext, [index])[0].data,
-                   chunk_id=entry.chunk_id)
-        for index, csp_id in moves
-    ])
-    landed = 0
-    for (index, csp_id), result in zip(moves, put_results):
-        if not result.ok:
-            continue
-        if (index, csp_id) not in location.placements:
-            client.chunk_table.add_placement(entry.chunk_id, index, csp_id)
-        if intent_id is not None:
-            journal.record(
-                intent_id, "share-uploaded", chunk=entry.chunk_id,
-                index=index, csp=csp_id,
-                object=chunk_share_object_name(index, entry.chunk_id),
-            )
-        landed += 1
-        report.shares_rebuilt += 1
-    if intent_id is not None:
-        journal.commit(intent_id)
+    _spend(budget, report, regen.gets + len(moves))
+    landed = sum(redisperse(client.engine, client.config.key, location,
+                            regen.plaintext, moves, client.chunk_table,
+                            journal))
+    report.shares_rebuilt += landed
     if landed == len(deficit):
         ledger.retire(entry.debt_id)
         return "retired"
@@ -276,6 +240,13 @@ def _repair_entry(client, ledger: DebtLedger, entry: DebtEntry, journal,
         detail=f"re-dispersed {landed}/{len(deficit)} missing shares",
     )
     return "failed"
+
+
+def _spend(budget, report: RepairReport, transfers: int) -> None:
+    """Charge share transfers to the slice's budget and report."""
+    if budget[0] is not None:
+        budget[0] -= transfers
+    report.transfers_used += transfers
 
 
 def _repair_meta_entry(client, ledger: DebtLedger, entry: DebtEntry, journal,
@@ -352,9 +323,7 @@ def _repair_meta_entry(client, ledger: DebtLedger, entry: DebtEntry, journal,
     cost = fetch_cost + len(need)
     if budget[0] is not None and budget[0] < cost:
         return "budget"
-    if budget[0] is not None:
-        budget[0] -= cost
-    report.transfers_used += cost
+    _spend(budget, report, cost)
     frames = {
         index: (prov.csp_id, name, blob)
         for prov, name, blob, index in store.frames_for(node)

@@ -36,10 +36,13 @@ class TestInit:
     def test_store_with_retired_settings_keys_still_loads(self, store,
                                                            tmp_path):
         # stores written before the single transfer engine carry a
-        # "transfer_backend" key; the CLI reads only keys it knows
+        # "transfer_backend" key, and stores written before the encode
+        # pool was removed an "encode_workers" key; the CLI reads only
+        # keys it knows
         path = store / CONFIG_NAME
         settings = json.loads(path.read_text())
-        settings.update(transfer_backend="thread", parallelism=2)
+        settings.update(transfer_backend="thread", parallelism=2,
+                        encode_workers=2)
         path.write_text(json.dumps(settings))
         source = tmp_path / "old.txt"
         source.write_bytes(b"written by an older store " * 50)

@@ -227,6 +227,47 @@ class TestSelfHealing:
         assert len(client.debt_ledger) == 0
 
 
+class TestRepairFallback:
+    """A bad share among the first t fetched must not wedge the debt:
+    repair fetches the chunk's other healthy shares and decodes a
+    verifying t-subset, like a read does."""
+
+    def test_corrupt_unsuspected_share_does_not_block_retirement(
+            self, tmp_path):
+        clock = SimClock()
+        inner = [InMemoryCSP(f"csp{i}") for i in range(5)]
+        engine = DirectEngine({p.csp_id: p for p in inner}, clock=clock)
+        client = CyrusClient.create(
+            inner, CyrusConfig(key="heal-key", t=2, n=4, **SMALL_CHUNKS),
+            client_id="alice", engine=engine,
+            debt_ledger=DebtLedger(tmp_path / "debts.jsonl", fsync=False),
+        )
+        data = deterministic_bytes(900, seed=11)
+        client.put("cold.bin", data)
+        chunk_id = sorted(client.chunk_table.all_chunk_ids())[0]
+        holder = dict(client.chunk_table.get(chunk_id).placements)
+        stores = {p.csp_id: p._objects for p in inner}
+        # index 3 is lost and its provider named in the debt
+        del stores[holder[3]][chunk_share_object_name(3, chunk_id)]
+        client.debt_ledger.record(chunk_id, missing=(3,),
+                                  failed_csps=(holder[3],))
+        # the first share repair fetches is silently corrupt on a
+        # provider the debt does not suspect
+        versions = stores[holder[0]][chunk_share_object_name(0, chunk_id)]
+        modified, blob = versions[-1]
+        versions[-1] = (modified, bytes([blob[0] ^ 0x01]) + blob[1:])
+
+        report = run_repair(client)
+        assert report.debts_retired == 1
+        assert report.debts_failed == 0
+        assert report.unrecoverable_chunks == ()
+        assert report.shares_rebuilt == 1
+        # t gets, one fallback get, one put
+        assert report.transfers_used == 4
+        assert len(client.debt_ledger) == 0
+        assert client.get("cold.bin").data == data
+
+
 class TestDebtReconciliation:
     """Crash between the journal's debt record and the ledger append:
     roll-forward re-records the debt from the intent."""
